@@ -3,10 +3,10 @@
 The register holds two modes with the same encoding: mode B on qubits
 0..N_q-1 (left half of every state label), mode A on qubits N_q..2N_q-1.
 The interaction Hamiltonian is b†a + ba†; its exact unitary exp(+iθH) is
-the dense oracle every circuit is checked against. A hand-reduced variant
-for the two-photon interference setup drops the hops through photon
-number 3 and the vacuum<->vacuum-adjacent transitions that the |1,1>
-initial state never reaches.
+the dense oracle every circuit is checked against. H conserves total
+photon number, so an N-photon input only ever explores H projected onto
+the N-photon sector; the reduced interaction is that projection, built
+from single Gray-code hops at any encoding.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gray import FockEncoding, annihilation_op, creation_op, ladder, projector
+from .gray import FockEncoding, annihilation_op, creation_op, hop_term
 from .pauli import MAX_DENSE_QUBITS, PauliOp
 
 
@@ -25,34 +25,32 @@ class Interaction:
 
     op: PauliOp
     encoding: FockEncoding
-    reduced: bool
 
 
 def interaction(encoding: FockEncoding) -> Interaction:
     """Full beam-splitter Hamiltonian b†a + ba†, both modes identically encoded."""
     b_dag = creation_op(encoding)
     b = annihilation_op(encoding)
-    op = b_dag.tensor(b) + b.tensor(b_dag)
-    return Interaction(op=op, encoding=encoding, reduced=False)
+    return Interaction(op=b_dag.tensor(b) + b.tensor(b_dag), encoding=encoding)
 
 
-def reduced_interaction() -> Interaction:
-    """Pruned Hamiltonian keeping only the hops the |1,1> input ever explores.
+def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:
+    """P_N·H·P_N: the beam splitter restricted to the ``photons``-photon sector.
 
-    Derived by hand for the 2-qubits-per-mode encoding only: the dynamics
-    from one photon per mode stay inside {|0>, |1>, |2>} of each mode.
+    Sum over n + m = N + 1 of √(n·m)·hop_B(n) ⊗ hop_A(m)† plus its adjoint;
+    each term takes |n-1, m> to |n, m-1>, both inside the sector. Hops above
+    the encoding's capacity do not exist and are skipped, so the operator
+    is empty when no two sector states are joined by a hop.
     """
-    encoding = FockEncoding(2)
-    p0, p1 = projector(0), projector(1)
-    q0, q1 = ladder(0), ladder(1)
-
-    def prod4(a, b, c, d):
-        return a.tensor(b).tensor(c).tensor(d)
-
-    t1 = prod4(p0, q1, q0, p1)  # B: 0->1, A: 2->1
-    t2 = prod4(q1, p1, p0, q0)  # B: 1->2, A: 1->0
-    op = (t1 + t1.adjoint() + t2 + t2.adjoint()).scale(math.sqrt(2))
-    return Interaction(op=op, encoding=encoding, reduced=True)
+    op = PauliOp.zero(2 * encoding.qubits_per_mode)
+    for n in range(1, photons + 1):
+        m = photons + 1 - n
+        if n > encoding.capacity or m > encoding.capacity:
+            continue
+        hop = hop_term(encoding, n).tensor(hop_term(encoding, m).adjoint())
+        hop = hop.scale(math.sqrt(n * m))
+        op = op + hop + hop.adjoint()
+    return Interaction(op=op, encoding=encoding)
 
 
 def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:

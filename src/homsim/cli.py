@@ -54,7 +54,8 @@ def _config_options(f):
             click.option("--steps", type=int, default=1, show_default=True),
             click.option("--shots", type=int, default=10_000, show_default=True),
             click.option("--seed", type=int, default=1234, show_default=True),
-            click.option("--reduced", is_flag=True, help="Use the pruned interaction."),
+            click.option("--reduced", is_flag=True,
+                         help="Compile H projected onto the input's 2-photon sector."),
             click.option("--exact", is_flag=True, help="Bypass the circuit; dense oracle."),
             click.option("--qubits-per-mode", type=int, default=2, show_default=True),
         ]

@@ -1,25 +1,36 @@
 """End-to-end interference experiment runs and sweeps.
 
-Each run prepares one photon per mode with X gates, evolves through either
-the synthesized Trotter circuit or the exact dense unitary, and reports
-probabilities, a seeded shot histogram, circuit metrics, and fidelity to
-the exact evolution. Defaults reproduce the reference setup: 2 qubits per
-mode, a 1:1 splitter (θ = π/4), 10,000 shots.
+Each run prepares one photon per mode (|1,1>) with X gates, evolves
+through either the synthesized Trotter circuit or the exact dense unitary,
+and reports probabilities, a seeded shot histogram, circuit metrics, and
+fidelity to the exact evolution. The circuit is compiled from the full
+beam-splitter H, or with ``reduced`` from H projected onto the input's
+2-photon sector, at any number of qubits per mode. Defaults reproduce the
+reference setup: 2 qubits per mode, a 1:1 splitter (θ = π/4), 10,000 shots.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import circuit as circ
 from . import statevector as sv
-from .beamsplitter import Interaction, exact_unitary, interaction, reduced_interaction
+from .beamsplitter import exact_unitary, interaction, reduced_interaction
 from .gray import FockEncoding, gray_bits
+
+# Photons in (mode B, mode A) of the interference input |1,1>.
+INPUT_FOCK = (1, 1)
+PHOTONS = sum(INPUT_FOCK)
+
+# Declared config field type (a string under postponed annotations) ->
+# accepted values. bool is refused for the numeric fields although Python
+# makes it an int.
+_ACCEPTED = {"float": (int, float), "int": int, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -33,14 +44,19 @@ class ExperimentConfig:
     qubits_per_mode: int = 2
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            numeric_bool = isinstance(value, bool) and f.type != "bool"
+            if numeric_bool or not isinstance(value, _ACCEPTED[f.type]):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
         if self.shots < 1:
             raise ValueError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.qubits_per_mode < 1:
             raise ValueError("qubits_per_mode must be >= 1")
-        if self.reduced and self.qubits_per_mode != 2:
-            raise ValueError("reduced interaction exists only for 2 qubits per mode")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
 
@@ -56,9 +72,7 @@ class ExperimentReport:
     counts: sv.Histogram
     metrics: Optional[dict]
     fidelity_to_exact: float
-    rng: dict = field(
-        default_factory=lambda: {"algorithm": sv.RNG_ALGORITHM, "seed": 0}
-    )
+    rng: dict
 
     def to_dict(self) -> dict:
         return {
@@ -73,8 +87,13 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
+        unknown = set(d["config"]) - {f.name for f in fields(ExperimentConfig)}
+        if unknown:
+            raise ValueError(f"unknown config keys {sorted(unknown)}")
+        config = ExperimentConfig(**d["config"])
+        config.validate()
         return cls(
-            config=ExperimentConfig(**d["config"]),
+            config=config,
             probabilities=d["probabilities"],
             counts=sv.Histogram(counts=d["counts"], shots=d["shots"]),
             metrics=d["metrics"],
@@ -90,33 +109,9 @@ class ExperimentReport:
         return cls.from_dict(json.loads(text))
 
 
-def _single_photon_label(encoding: FockEncoding) -> str:
-    # One photon in each mode; "0101" for the 2-qubit encoding.
-    one = gray_bits(encoding, 1)
-    return one + one
-
-
-def _prep_circuit(n_qubits: int, label: str) -> circ.Circuit:
-    gates = tuple(
-        circ.Gate("X", q) for q, bit in enumerate(label) if bit == "1"
-    )
-    return circ.Circuit(n_qubits, gates)
-
-
-def _interaction_for(config: ExperimentConfig) -> Interaction:
-    if config.reduced:
-        return reduced_interaction()
-    return interaction(FockEncoding(config.qubits_per_mode))
-
-
-def _report_metrics(c: circ.Circuit) -> dict:
-    m = circ.metrics(c)
-    return {
-        "depth": m["depth"],
-        "cx": m["cx_count"],
-        "gate_counts": m["gate_counts"],
-        "total_gates": m["total_gates"],
-    }
+def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
+    # Register label of |n_B, n_A>; "0101" for |1,1> at 2 qubits per mode.
+    return "".join(gray_bits(encoding, n) for n in fock)
 
 
 def run_hom(config: ExperimentConfig) -> ExperimentReport:
@@ -124,22 +119,18 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     encoding = FockEncoding(config.qubits_per_mode)
     n = 2 * config.qubits_per_mode
-    label = _single_photon_label(encoding)
-    initial = sv.init_basis(n, label)
-
-    exact_state = sv.apply_dense(
-        initial, exact_unitary(config.theta, interaction(encoding))
-    )
+    initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
+    full = interaction(encoding)
+    exact_state = sv.apply_dense(initial, exact_unitary(config.theta, full))
 
     metrics_out: Optional[dict] = None
     if config.exact:
         out = exact_state
     else:
-        bs_circuit = circ.synthesize(
-            _interaction_for(config), config.theta, config.trotter_steps
-        )
+        inter = reduced_interaction(encoding, PHOTONS) if config.reduced else full
+        bs_circuit = circ.synthesize(inter, config.theta, config.trotter_steps)
         out = sv.apply_circuit(initial, bs_circuit)
-        metrics_out = _report_metrics(bs_circuit)
+        metrics_out = circ.metrics(bs_circuit)
 
     probs = sv.probabilities(out)
     prob_map = {
@@ -164,9 +155,9 @@ def sweep_trotter(
         raise ValueError("steps_list must be non-empty")
     config.validate()
     encoding = FockEncoding(config.qubits_per_mode)
-    coincidence = _single_photon_label(encoding)
-    both_a = gray_bits(encoding, 0) + gray_bits(encoding, 2)
-    both_b = gray_bits(encoding, 2) + gray_bits(encoding, 0)
+    coincidence = _fock_label(encoding, INPUT_FOCK)
+    both_a = _fock_label(encoding, (0, PHOTONS))
+    both_b = _fock_label(encoding, (PHOTONS, 0))
 
     rows = []
     for i, steps in enumerate(steps_list):
@@ -187,7 +178,7 @@ def sweep_trotter(
                 f"p_{both_b}": report.probabilities[both_b],
                 "fidelity": report.fidelity_to_exact,
                 "depth": report.metrics["depth"],
-                "cx_count": report.metrics["cx"],
+                "cx_count": report.metrics["cx_count"],
             }
         )
     return rows
@@ -205,7 +196,8 @@ def sweep_theta(
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")
-    coincidence = _single_photon_label(FockEncoding(config.qubits_per_mode))
+    config.validate()
+    coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
     rows = []
     for theta in theta_grid:
         row_config = ExperimentConfig(
@@ -226,24 +218,16 @@ def circuit_report(config: ExperimentConfig) -> dict:
     config.validate()
     if config.exact:
         raise ValueError("circuit report requires the circuit path")
-    if config.qubits_per_mode != 2:
-        raise ValueError("reduced comparison exists only for 2 qubits per mode")
     encoding = FockEncoding(config.qubits_per_mode)
-    full = circ.synthesize(interaction(encoding), config.theta, config.trotter_steps)
-    reduced = circ.synthesize(
-        reduced_interaction(), config.theta, config.trotter_steps
-    )
-    return {
-        "config": asdict(config),
-        "full": {
-            "metrics": _report_metrics(full),
-            "qasm": circ.export_qasm(full),
-        },
-        "reduced": {
-            "metrics": _report_metrics(reduced),
-            "qasm": circ.export_qasm(reduced),
-        },
+    inters = {
+        "full": interaction(encoding),
+        "reduced": reduced_interaction(encoding, PHOTONS),
     }
+    out: dict = {"config": asdict(config)}
+    for name, inter in inters.items():
+        c = circ.synthesize(inter, config.theta, config.trotter_steps)
+        out[name] = {"metrics": circ.metrics(c), "qasm": circ.export_qasm(c)}
+    return out
 
 
 def theta_grid(points: int, stop: float = math.pi / 2) -> list[float]:

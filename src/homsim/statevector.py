@@ -20,6 +20,11 @@ MAX_GATE_QUBITS = 24
 
 RNG_ALGORITHM = "numpy-pcg64"
 
+# 1-qubit gate matrices are cached by (kind, angle). A Trotter sweep at 2
+# qubits per mode touches 66 distinct keys and a 1-step circuit at 5 qubits
+# per mode 859; the bound holds either while angles of earlier θ age out.
+GATE_CACHE_SIZE = 4096
+
 
 class NormDriftError(RuntimeError):
     """Statevector norm left the unit sphere beyond tolerance."""
@@ -57,7 +62,7 @@ def init_basis(n_qubits: int, label: str) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=GATE_CACHE_SIZE)
 def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
     if kind == "X":
         return np.array([[0, 1], [1, 0]], dtype=complex)

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from homsim.gray import FockEncoding, basis_index, ladder, projector
 from homsim.pauli import PauliOp
 
 
@@ -19,3 +22,49 @@ def phase_fidelity(u: np.ndarray, v: np.ndarray) -> float:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def hand_reduced_q2() -> PauliOp:
+    """Hand-derived reduced HOM Hamiltonian at 2 qubits per mode (reference).
+
+    Keeps only the two hops the |1,1> input explores, each with weight √2:
+    t1 moves B 0->1 while A goes 2->1, t2 moves B 1->2 while A goes 1->0.
+    """
+    p0, p1 = projector(0), projector(1)
+    q0, q1 = ladder(0), ladder(1)
+
+    def prod4(a, b, c, d):
+        return a.tensor(b).tensor(c).tensor(d)
+
+    t1 = prod4(p0, q1, q0, p1)
+    t2 = prod4(q1, p1, p0, q0)
+    return (t1 + t1.adjoint() + t2 + t2.adjoint()).scale(math.sqrt(2))
+
+
+def dense_creation(enc: FockEncoding) -> np.ndarray:
+    """b† written straight onto Gray-coded basis indices, no Pauli algebra."""
+    dim = 2 ** enc.qubits_per_mode
+    out = np.zeros((dim, dim))
+    for n in range(1, enc.capacity + 1):
+        out[basis_index(enc, n), basis_index(enc, n - 1)] = math.sqrt(n)
+    return out
+
+
+def dense_beamsplitter(enc: FockEncoding) -> np.ndarray:
+    """Independent dense oracle for the full b†a + ba†."""
+    c = dense_creation(enc)
+    return np.kron(c, c.T) + np.kron(c.T, c)
+
+
+def two_mode_index(enc: FockEncoding, n_b: int, n_a: int) -> int:
+    return (basis_index(enc, n_b) << enc.qubits_per_mode) | basis_index(enc, n_a)
+
+
+def sector_projector(enc: FockEncoding, photons: int) -> np.ndarray:
+    """Diagonal projector P_N onto encoded states |n_B, n_A> with n_B + n_A = N."""
+    diag = np.zeros(4 ** enc.qubits_per_mode)
+    for n_b in range(enc.capacity + 1):
+        n_a = photons - n_b
+        if 0 <= n_a <= enc.capacity:
+            diag[two_mode_index(enc, n_b, n_a)] = 1.0
+    return np.diag(diag)

@@ -119,7 +119,7 @@ def test_criterion_7_reduction_soundness():
     start = init_basis(4, "0101")
     for theta in (0.1, math.pi / 4, 1.0):
         full = apply_dense(start, exact_unitary(theta, interaction(ENC)))
-        red = apply_dense(start, exact_unitary(theta, reduced_interaction()))
+        red = apply_dense(start, exact_unitary(theta, reduced_interaction(ENC, 2)))
         assert fidelity(full, red) >= 1 - 1e-9
     # circuit path at equal, well-converged step count; an N-step circuit is
     # the 1-step circuit repeated, so power its unitary instead of replaying
@@ -129,11 +129,11 @@ def test_criterion_7_reduction_soundness():
         circuit_unitary(synthesize(interaction(ENC), THETA / steps, 1)), steps
     )
     u_red = np.linalg.matrix_power(
-        circuit_unitary(synthesize(reduced_interaction(), THETA / steps, 1)), steps
+        circuit_unitary(synthesize(reduced_interaction(ENC, 2), THETA / steps, 1)), steps
     )
     assert fidelity(apply_dense(start, u_full), apply_dense(start, u_red)) >= 1 - 1e-6
     full_cx = metrics(synthesize(interaction(ENC), THETA, 1))["cx_count"]
-    red_cx = metrics(synthesize(reduced_interaction(), THETA, 1))["cx_count"]
+    red_cx = metrics(synthesize(reduced_interaction(ENC, 2), THETA, 1))["cx_count"]
     assert red_cx < full_cx
     report("7. pruned interaction reproduces the full dynamics with fewer CX")
 

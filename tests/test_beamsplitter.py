@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_beamsplitter, hand_reduced_q2, sector_projector, two_mode_index
 from homsim.beamsplitter import (
     Interaction,
     exact_unitary,
     interaction,
     reduced_interaction,
 )
-from homsim.gray import FockEncoding, basis_index, number_op
+from homsim.gray import FockEncoding, number_op
 from homsim.pauli import PauliOp
 
 ENC = FockEncoding(2)
 
 
-def encoded_two_mode_state(n_b, n_a):
-    vec = np.zeros(16, dtype=complex)
-    vec[(basis_index(ENC, n_b) << 2) | basis_index(ENC, n_a)] = 1.0
+def encoded_two_mode_state(n_b, n_a, enc=ENC):
+    vec = np.zeros(4 ** enc.qubits_per_mode, dtype=complex)
+    vec[two_mode_index(enc, n_b, n_a)] = 1.0
     return vec
 
 
@@ -43,18 +44,39 @@ class TestInteraction:
 
 class TestReducedInteraction:
     def test_hermitian(self):
-        assert reduced_interaction().op.is_hermitian()
+        assert reduced_interaction(ENC, 2).op.is_hermitian()
 
     def test_fewer_terms_than_full(self):
-        assert len(reduced_interaction().op) < len(interaction(ENC).op)
+        assert len(reduced_interaction(ENC, 2).op) < len(interaction(ENC).op)
+
+    def test_equals_hand_written_two_qubit_operator(self):
+        assert reduced_interaction(ENC, 2).op == hand_reduced_q2()
 
     @pytest.mark.parametrize("theta", [0.1, math.pi / 4, 1.0])
     def test_agrees_with_full_on_one_photon_input(self, theta):
         start = encoded_two_mode_state(1, 1)
         full = exact_unitary(theta, interaction(ENC)) @ start
-        reduced = exact_unitary(theta, reduced_interaction()) @ start
+        reduced = exact_unitary(theta, reduced_interaction(ENC, 2)) @ start
         assert abs(np.vdot(full, reduced)) ** 2 >= 1 - 1e-9
 
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
+    @pytest.mark.parametrize("photons", [0, 1, 2, 3])
+    def test_is_full_hamiltonian_projected_onto_sector(self, qpm, photons):
+        enc = FockEncoding(qpm)
+        p = sector_projector(enc, photons)
+        expected = p @ dense_beamsplitter(enc) @ p
+        got = reduced_interaction(enc, photons).op.to_matrix()
+        np.testing.assert_allclose(got, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
+    def test_one_one_dynamics_match_full_hamiltonian(self, qpm):
+        enc = FockEncoding(qpm)
+        w, v = np.linalg.eigh(dense_beamsplitter(enc))
+        start = encoded_two_mode_state(1, 1, enc)
+        for theta in (0.3, math.pi / 4, 1.1):
+            full = (v * np.exp(1j * theta * w)) @ v.conj().T @ start
+            reduced = exact_unitary(theta, reduced_interaction(enc, 2)) @ start
+            np.testing.assert_allclose(reduced, full, atol=1e-9)
 
 class TestExactUnitary:
     def test_theta_zero_is_identity(self):
@@ -99,14 +121,10 @@ class TestExactUnitary:
             assert p == pytest.approx(math.cos(2 * theta) ** 2, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
-        bad = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC, reduced=False)
+        bad = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC)
         with pytest.raises(ValueError):
             exact_unitary(1.0, bad)
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ValueError):
             exact_unitary(math.inf, interaction(ENC))
-
-    def test_reduced_requires_two_qubit_modes(self):
-        # reduced_interaction is hard-wired to the 2-qubit encoding
-        assert reduced_interaction().encoding == FockEncoding(2)

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import pauli_exp, phase_fidelity
+from conftest import hand_reduced_q2, pauli_exp, phase_fidelity
 from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
@@ -38,9 +39,7 @@ class TestGateValidation:
 
 class TestTrotterSequence:
     def test_single_term(self):
-        h = Interaction(
-            op=PauliOp.from_label("XX", 0.7), encoding=ENC, reduced=False
-        )
+        h = Interaction(op=PauliOp.from_label("XX", 0.7), encoding=ENC)
         seq = trotter_sequence(h, theta=0.5, steps=1)
         assert seq == [(PauliTerm(0.7 + 0j, "XX"), 0.5 * 0.7)]
 
@@ -53,13 +52,12 @@ class TestTrotterSequence:
         h = Interaction(
             op=PauliOp.from_label("II", 2.0) + PauliOp.from_label("ZZ", 1.0),
             encoding=ENC,
-            reduced=False,
         )
         seq = trotter_sequence(h, 1.0, 1)
         assert [t.axes for t, _ in seq] == ["ZZ"]
 
     def test_non_hermitian_rejected(self):
-        h = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC, reduced=False)
+        h = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC)
         with pytest.raises(ValueError):
             trotter_sequence(h, 1.0, 1)
 
@@ -168,8 +166,20 @@ class TestMetrics:
 
     def test_reduced_smaller_than_full(self):
         full = metrics(synthesize(interaction(ENC), math.pi / 4, 1))
-        red = metrics(synthesize(reduced_interaction(), math.pi / 4, 1))
+        red = metrics(synthesize(reduced_interaction(ENC, 2), math.pi / 4, 1))
         assert red["cx_count"] < full["cx_count"]
+
+    @pytest.mark.parametrize("qpm", [3, 4])
+    def test_reduced_smaller_than_full_at_wider_modes(self, qpm):
+        enc = FockEncoding(qpm)
+        full = metrics(synthesize(interaction(enc), 0.7, 1))
+        red = metrics(synthesize(reduced_interaction(enc, 2), 0.7, 1))
+        assert red["cx_count"] < full["cx_count"]
+
+    def test_reduced_at_capacity_one_is_empty(self):
+        # |1,1> has no partner in the 2-photon sector when a mode holds one photon.
+        c = synthesize(reduced_interaction(FockEncoding(1), 2), 0.7, 3)
+        assert c == Circuit(2, ())
 
 
 class TestQasmExport:
@@ -190,6 +200,16 @@ class TestQasmExport:
         a = export_qasm(synthesize(interaction(ENC), 0.37, 2))
         b = export_qasm(synthesize(interaction(ENC), 0.37, 2))
         assert a == b
+
+    def test_reduced_two_qubit_qasm_unchanged(self):
+        # Digest of the 1-step π/4 QASM the hand-written operator has always emitted.
+        text = export_qasm(synthesize(reduced_interaction(ENC, 2), math.pi / 4, 1))
+        hand = Interaction(op=hand_reduced_q2(), encoding=ENC)
+        assert text == export_qasm(synthesize(hand, math.pi / 4, 1))
+        assert text.count("\ncx ") == 64
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "69f73e4899b5d797b30300debd6c1aaffd6d50d73268a1e197d635f4db9dc747"
+        )
 
     def test_angle_formatting(self):
         text = export_qasm(Circuit(1, (Gate("RZ", 0, angle=math.pi),)))

@@ -39,9 +39,20 @@ class TestRunHom:
         report = run_hom(ExperimentConfig(trotter_steps=3))
         assert sum(report.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
 
-    def test_reduced_requires_two_qubit_modes(self):
-        with pytest.raises(ValueError):
-            run_hom(ExperimentConfig(reduced=True, qubits_per_mode=3))
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_reduced_runs_at_every_width(self, qpm):
+        config = ExperimentConfig(reduced=True, qubits_per_mode=qpm)
+        report = run_hom(config)
+        assert sum(report.probabilities.values()) == pytest.approx(1.0, abs=1e-9)
+        expected = circuit_report(config)["reduced"]["metrics"]
+        assert report.metrics == expected
+
+    def test_reduced_at_capacity_one_is_exact(self):
+        # |1,1> is stationary when each mode holds at most one photon.
+        report = run_hom(ExperimentConfig(reduced=True, qubits_per_mode=1))
+        assert report.metrics["total_gates"] == 0
+        assert report.fidelity_to_exact == pytest.approx(1.0, abs=1e-12)
+        assert report.probabilities["11"] == pytest.approx(1.0, abs=1e-12)
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -55,6 +66,31 @@ class TestRunHom:
         a = run_hom(ExperimentConfig(trotter_steps=2)).to_json()
         b = run_hom(ExperimentConfig(trotter_steps=2)).to_json()
         assert a == b
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"trotter_steps": 2.5},
+            {"trotter_steps": True},
+            {"seed": 1.5},
+            {"seed": -1},
+            {"shots": 10.5},
+            {"qubits_per_mode": 2.0},
+            {"theta": "0.5"},
+            {"theta": False},
+            {"reduced": 1},
+            {"exact": None},
+            {"unknown_key": 1},
+        ],
+    )
+    def test_mistyped_config_rejected(self, bad):
+        d = run_hom(ExperimentConfig(exact=True, shots=10)).to_dict()
+        d["config"].update(bad)
+        with pytest.raises(ValueError):
+            ExperimentReport.from_dict(d)
+        if "unknown_key" not in bad:
+            with pytest.raises(ValueError):
+                run_hom(ExperimentConfig(**d["config"]))
 
     def test_rng_algorithm_recorded(self):
         report = run_hom(ExperimentConfig(exact=True, seed=5))
@@ -102,11 +138,14 @@ class TestSweepTheta:
 class TestCircuitReport:
     def test_reduced_has_fewer_cx(self):
         report = circuit_report(ExperimentConfig())
-        assert report["reduced"]["metrics"]["cx"] < report["full"]["metrics"]["cx"]
+        assert (
+            report["reduced"]["metrics"]["cx_count"]
+            < report["full"]["metrics"]["cx_count"]
+        )
 
     def test_full_cx_in_expected_band(self):
         report = circuit_report(ExperimentConfig())
-        assert 32 <= report["full"]["metrics"]["cx"] <= 512
+        assert 32 <= report["full"]["metrics"]["cx_count"] <= 512
 
     def test_deterministic(self):
         a = circuit_report(ExperimentConfig())
@@ -138,11 +177,21 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--steps", "0"])
         assert result.exit_code == 2
 
-    def test_reduced_wrong_encoding_exit_code(self):
+    def test_reduced_run_at_three_qubits_per_mode(self):
         result = CliRunner().invoke(
             main, ["run", "--reduced", "--qubits-per-mode", "3"]
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["config"]["reduced"] is True
+        assert report["metrics"]["cx_count"] == 384
+
+    def test_circuit_report_at_three_qubits_per_mode(self):
+        result = CliRunner().invoke(main, ["circuit-report", "--qubits-per-mode", "3"])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["reduced"]["metrics"]["cx_count"] == 384
+        assert report["full"]["metrics"]["cx_count"] == 1728
 
     def test_sweep_trotter_csv(self):
         result = CliRunner().invoke(

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from homsim import statevector as sv
 from homsim.beamsplitter import exact_unitary, interaction
 from homsim.circuit import Circuit, Gate
+from homsim.experiments import ExperimentConfig, sweep_trotter
 from homsim.gray import FockEncoding
 from homsim.statevector import (
     Histogram,
@@ -211,3 +213,20 @@ class TestFidelity:
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
             fidelity(init_basis(1, "0"), init_basis(2, "00"))
+
+
+class TestGateMatrixCache:
+    def test_bounded_across_repeated_sweeps(self):
+        cache = sv._gate_matrix
+        cache.cache_clear()
+        for theta in (0.3, 0.5, 0.7, 0.9):
+            sweep_trotter(ExperimentConfig(theta=theta, shots=1), [1, 2, 4])
+            assert cache.cache_info().currsize <= sv.GATE_CACHE_SIZE
+        # A sweep's working set fits: repeating the last one misses nothing.
+        misses = cache.cache_info().misses
+        sweep_trotter(ExperimentConfig(theta=0.9, shots=1), [1, 2, 4])
+        assert cache.cache_info().misses == misses
+        for k in range(sv.GATE_CACHE_SIZE + 10):
+            cache("RZ", 1e-3 * k)
+        assert cache.cache_info().currsize == sv.GATE_CACHE_SIZE
+        cache.cache_clear()
