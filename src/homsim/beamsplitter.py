@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gray import FockEncoding, annihilation_op, creation_op, hop_term
-from .pauli import MAX_DENSE_QUBITS, PauliOp
+from .pauli import PauliOp
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,6 @@ def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:
     """exp(+iθH) via Hermitian eigendecomposition; unitary to 1e-12."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if inter.op.width > MAX_DENSE_QUBITS:
-        raise ValueError("register too wide for the dense path")
     if not inter.op.is_hermitian():
         raise ValueError("interaction must be Hermitian")
     h = inter.op.to_matrix()

@@ -20,11 +20,6 @@ logger = logging.getLogger(__name__)
 
 GATE_KINDS = ("X", "H", "RX", "RZ", "CNOT")
 
-# Non-real Trotter coefficients signal a broken Hermitian simplification,
-# not bad user input.
-class InternalError(RuntimeError):
-    pass
-
 
 @dataclass(frozen=True)
 class Gate:
@@ -83,11 +78,7 @@ def trotter_sequence(
         raise ValueError("interaction must be Hermitian")
     per_step = []
     for term in inter.op.terms:
-        if abs(term.coeff.imag) > 1e-12:
-            raise InternalError(
-                f"non-real coefficient {term.coeff} on Hermitian operator"
-            )
-        if set(term.axes) == {"I"}:
+        if term.code == 0:
             logger.info("skipping identity term (global phase only): %s", term)
             continue
         per_step.append((term, theta * term.coeff.real / steps))

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import click
 
-from .circuit import InternalError
 from .experiments import (
     ExperimentConfig,
     circuit_report,
@@ -40,7 +39,7 @@ def _guarded(f):
         except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INVALID_CONFIG)
-        except (InternalError, NormDriftError) as exc:
+        except NormDriftError as exc:
             click.echo(f"internal error: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
 
@@ -64,16 +63,8 @@ def _config_options(f):
     return f
 
 
-def _build_config(theta, steps, shots, seed, reduced, exact, qubits_per_mode):
-    return ExperimentConfig(
-        theta=theta,
-        trotter_steps=steps,
-        shots=shots,
-        seed=seed,
-        reduced=reduced,
-        exact=exact,
-        qubits_per_mode=qubits_per_mode,
-    )
+def _build_config(steps, **kwargs):
+    return ExperimentConfig(trotter_steps=steps, **kwargs)
 
 
 def _write(text: str, out: str | None, default_name: str) -> None:

@@ -87,6 +87,21 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentReport":
+        keys = {f.name for f in fields(cls)} | {"shots"}
+        if not isinstance(d, dict) or set(d) != keys:
+            got = sorted(d) if isinstance(d, dict) else type(d).__name__
+            raise ValueError(f"report needs the keys {sorted(keys)}, got {got}")
+        for key in ("config", "probabilities", "counts", "rng"):
+            if not isinstance(d[key], dict):
+                raise ValueError(f"{key} must be a mapping")
+        if d["metrics"] is not None and not isinstance(d["metrics"], dict):
+            raise ValueError("metrics must be a mapping or null")
+        if not all(
+            isinstance(k, str) and _is_number(p) for k, p in d["probabilities"].items()
+        ):
+            raise ValueError("probabilities must map labels to numbers")
+        if not _is_number(d["fidelity_to_exact"]):
+            raise ValueError("fidelity_to_exact must be a number")
         unknown = set(d["config"]) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
@@ -107,6 +122,10 @@ class ExperimentReport:
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
         return cls.from_dict(json.loads(text))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
@@ -155,9 +174,10 @@ def sweep_trotter(
         raise ValueError("steps_list must be non-empty")
     config.validate()
     encoding = FockEncoding(config.qubits_per_mode)
-    coincidence = _fock_label(encoding, INPUT_FOCK)
-    both_a = _fock_label(encoding, (0, PHOTONS))
-    both_b = _fock_label(encoding, (PHOTONS, 0))
+    # The input first, then the other sector states |k, N-k> the encoding holds.
+    sector = [(k, PHOTONS - k) for k in range(PHOTONS + 1)]
+    sector.sort(key=lambda fock: fock != INPUT_FOCK)
+    labels = [_fock_label(encoding, f) for f in sector if max(f) <= encoding.capacity]
 
     rows = []
     for i, steps in enumerate(steps_list):
@@ -173,9 +193,7 @@ def sweep_trotter(
         rows.append(
             {
                 "steps": int(steps),
-                f"p_{coincidence}": report.probabilities[coincidence],
-                f"p_{both_a}": report.probabilities[both_a],
-                f"p_{both_b}": report.probabilities[both_b],
+                **{f"p_{label}": report.probabilities[label] for label in labels},
                 "fidelity": report.fidelity_to_exact,
                 "depth": report.metrics["depth"],
                 "cx_count": report.metrics["cx_count"],

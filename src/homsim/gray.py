@@ -47,13 +47,17 @@ def basis_index(encoding: FockEncoding, n: int) -> int:
 def projector(bit: int) -> PauliOp:
     """(I + Z)/2 for bit 0, (I - Z)/2 for bit 1: keeps a qubit in |bit>."""
     sign = 1.0 if bit == 0 else -1.0
-    return PauliOp([PauliTerm(0.5, "I"), PauliTerm(0.5 * sign, "Z")])
+    return PauliOp(
+        [PauliTerm.from_label(0.5, "I"), PauliTerm.from_label(0.5 * sign, "Z")]
+    )
 
 
 def ladder(bit: int) -> PauliOp:
     """Spin ladder flipping a qubit onto |bit>: (X + iY)/2 lowers, (X - iY)/2 raises."""
     sign = 1.0 if bit == 0 else -1.0
-    return PauliOp([PauliTerm(0.5, "X"), PauliTerm(0.5j * sign, "Y")])
+    return PauliOp(
+        [PauliTerm.from_label(0.5, "X"), PauliTerm.from_label(0.5j * sign, "Y")]
+    )
 
 
 def hop_term(encoding: FockEncoding, n: int) -> PauliOp:

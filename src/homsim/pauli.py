@@ -1,15 +1,19 @@
 """Exact algebra over complex-weighted sums of Pauli strings.
 
-A Pauli string is written left-to-right, qubit 0 first ("XZIY" puts X on
-qubit 0). Products track phases exactly in the 4-element group {1, i, -1, -i},
-so long chains of multiplications never accumulate floating-point phase error.
-Dense matrices (qubit 0 = most significant bit) serve as the verification
-oracle for every other module.
+A Pauli string on n qubits is one integer ``code``: two bits per qubit,
+qubit 0 in the top bits, I, X, Y, Z = 0, 1, 2, 3. "XZIY" (X on qubit 0) is
+0b01_11_00_10, and sorting codes sorts labels. A digit (high, low) is the
+symplectic pair x = low ^ high, z = high, with P = i^|x&z|·X^x·Z^z
+(Aaronson & Gottesman, PRA 70, 052328 (2004)). A product's string is
+code₁ ^ code₂, its phase i^(|x₁&z₁| + |x₂&z₂| − |x₃&z₃| + 2|z₁&x₂|), exact in
+{1, i, −1, −i}. Dense matrices (qubit 0 = most significant bit) follow
+from P|j⟩ = i^|x&z|·(−1)^|z&j|·|j⊕x⟩ and are the verification oracle for
+every other module. Text labels exist only at the edges (``from_label``,
+``axes``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
@@ -22,68 +26,53 @@ DROP_TOL = 1e-12
 # Dense path cap: 2^12 x 2^12 is the largest matrix we ever materialize.
 MAX_DENSE_QUBITS = 12
 
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# (a, b) -> (power of i, resulting axis) for single-qubit products a*b.
-_MUL: dict[tuple[str, str], tuple[int, str]] = {}
-for _a in AXES:
-    _MUL[("I", _a)] = (0, _a)
-    _MUL[(_a, "I")] = (0, _a)
-    _MUL[(_a, _a)] = (0, "I")
-_MUL[("X", "Y")] = (1, "Z")
-_MUL[("Y", "X")] = (3, "Z")
-_MUL[("Y", "Z")] = (1, "X")
-_MUL[("Z", "Y")] = (3, "X")
-_MUL[("Z", "X")] = (1, "Y")
-_MUL[("X", "Z")] = (3, "Y")
-
 _PHASE = (1, 1j, -1, -1j)
 
 
 @dataclass(frozen=True)
 class PauliTerm:
-    """One weighted Pauli string: ``coeff * axes[0] (x) axes[1] (x) ...``."""
+    """One weighted Pauli string ``coeff · P``, P given by its ``code``."""
 
     coeff: complex
-    axes: str
+    code: int
+    width: int
 
-    def __post_init__(self):
-        if any(a not in AXES for a in self.axes):
-            raise ValueError(f"invalid Pauli axes string {self.axes!r}")
+    @classmethod
+    def from_label(cls, coeff: complex, axes: str) -> "PauliTerm":
+        if not set(axes) <= set(AXES):
+            raise ValueError(f"invalid Pauli axes string {axes!r}")
+        code = sum(AXES.index(a) << 2 * k for k, a in enumerate(reversed(axes)))
+        return cls(coeff, code, len(axes))
 
     @property
-    def width(self) -> int:
-        return len(self.axes)
+    def axes(self) -> str:
+        return "".join(
+            AXES[self.code >> 2 * k & 3] for k in reversed(range(self.width))
+        )
+
+    @property
+    def xz(self) -> tuple[int, int]:
+        """Symplectic bit masks, qubit q at bit width-1-q."""
+        digits = [self.code >> 2 * k & 3 for k in range(self.width)]
+        x = sum(((d >> 1) ^ (d & 1)) << k for k, d in enumerate(digits))
+        return x, sum((d >> 1) << k for k, d in enumerate(digits))
 
     def __mul__(self, other: "PauliTerm") -> "PauliTerm":
         if self.width != other.width:
-            raise ValueError(
-                f"width mismatch: {self.width} vs {other.width}"
-            )
-        phase_pow = 0
-        axes = []
-        for a, b in zip(self.axes, other.axes):
-            p, c = _MUL[(a, b)]
-            phase_pow = (phase_pow + p) % 4
-            axes.append(c)
-        return PauliTerm(self.coeff * other.coeff * _PHASE[phase_pow], "".join(axes))
-
-    def to_matrix(self) -> np.ndarray:
-        _check_dense_width(self.width)
-        mats = [_SINGLE[a] for a in self.axes]
-        return self.coeff * reduce(np.kron, mats, np.eye(1, dtype=complex))
+            raise ValueError(f"width mismatch: {self.width} vs {other.width}")
+        (x1, z1), (x2, z2) = self.xz, other.xz
+        x3, z3 = x1 ^ x2, z1 ^ z2
+        k = (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
+        k += 2 * (z1 & x2).bit_count()
+        coeff = self.coeff * other.coeff * _PHASE[k % 4]
+        return PauliTerm(coeff, self.code ^ other.code, self.width)
 
 
 class PauliOp:
     """Sum of Pauli terms over a fixed register width.
 
     Simplified on construction: like strings collected, negligible terms
-    dropped, remaining terms in lexicographic order of their axes strings.
+    dropped, remaining terms in ascending code (lexicographic label) order.
     """
 
     __slots__ = ("width", "terms")
@@ -94,24 +83,23 @@ class PauliOp:
             if not terms:
                 raise ValueError("width required for an empty operator")
             width = terms[0].width
+        acc: dict[int, complex] = {}
         for t in terms:
             if t.width != width:
                 raise ValueError(
                     f"width mismatch: term {t.axes!r} in width-{width} operator"
                 )
-        acc: dict[str, complex] = {}
-        for t in terms:
-            acc[t.axes] = acc.get(t.axes, 0) + t.coeff
+            acc[t.code] = acc.get(t.code, 0) + t.coeff
         self.width = width
         self.terms = tuple(
-            PauliTerm(c, axes)
-            for axes, c in sorted(acc.items())
+            PauliTerm(c, code, width)
+            for code, c in sorted(acc.items())
             if abs(c) > DROP_TOL
         )
 
     @classmethod
     def from_label(cls, axes: str, coeff: complex = 1.0) -> "PauliOp":
-        return cls([PauliTerm(coeff, axes)])
+        return cls([PauliTerm.from_label(coeff, axes)])
 
     @classmethod
     def zero(cls, width: int) -> "PauliOp":
@@ -130,7 +118,8 @@ class PauliOp:
 
     def scale(self, c: complex) -> "PauliOp":
         return PauliOp(
-            [PauliTerm(t.coeff * c, t.axes) for t in self.terms], width=self.width
+            [PauliTerm(t.coeff * c, t.code, t.width) for t in self.terms],
+            width=self.width,
         )
 
     def __mul__(self, other: "PauliOp") -> "PauliOp":
@@ -141,31 +130,40 @@ class PauliOp:
         )
 
     def tensor(self, other: "PauliOp") -> "PauliOp":
+        width = self.width + other.width
         return PauliOp(
             [
-                PauliTerm(a.coeff * b.coeff, a.axes + b.axes)
+                PauliTerm(a.coeff * b.coeff, a.code << 2 * other.width | b.code, width)
                 for a in self.terms
                 for b in other.terms
             ],
-            width=self.width + other.width,
+            width=width,
         )
 
     def adjoint(self) -> "PauliOp":
         # Pauli strings are self-adjoint; only coefficients conjugate.
         return PauliOp(
-            [PauliTerm(t.coeff.conjugate(), t.axes) for t in self.terms],
+            [PauliTerm(t.coeff.conjugate(), t.code, t.width) for t in self.terms],
             width=self.width,
         )
 
     def is_hermitian(self) -> bool:
-        return len(self - self.adjoint()) == 0
+        # H - H† keeps 2i·Im(c) per string; the same tolerance drops it.
+        return all(abs(2 * t.coeff.imag) <= DROP_TOL for t in self.terms)
 
     def to_matrix(self) -> np.ndarray:
-        _check_dense_width(self.width)
-        dim = 2 ** self.width
-        out = np.zeros((dim, dim), dtype=complex)
+        if self.width > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"dense path capped at {MAX_DENSE_QUBITS} qubits, got {self.width}"
+            )
+        j = np.arange(2 ** self.width)
+        sign = np.ones(len(j), dtype=int)  # (-1)^|j|, doubled one bit at a time
+        for b in range(self.width):
+            sign[1 << b : 2 << b] = -sign[: 1 << b]
+        out = np.zeros((len(j), len(j)), dtype=complex)
         for t in self.terms:
-            out += t.to_matrix()
+            x, z = t.xz
+            out[j ^ x, j] += t.coeff * _PHASE[(x & z).bit_count() % 4] * sign[z & j]
         return out
 
     def __eq__(self, other) -> bool:
@@ -191,10 +189,3 @@ def _fmt_coeff(c: complex) -> str:
     if abs(c.real) <= DROP_TOL:
         return f"{c.imag:.12g}j"
     return f"({c.real:.12g}{c.imag:+.12g}j)"
-
-
-def _check_dense_width(width: int) -> None:
-    if width > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense realization capped at {MAX_DENSE_QUBITS} qubits, got {width}"
-        )

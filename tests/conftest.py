@@ -6,6 +6,24 @@ import pytest
 from homsim.gray import FockEncoding, basis_index, ladder, projector
 from homsim.pauli import PauliOp
 
+_SINGLE = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_matrix(op: PauliOp) -> np.ndarray:
+    """Independent dense oracle: one Kronecker product per term, from its label."""
+    out = np.zeros((2 ** op.width, 2 ** op.width), dtype=complex)
+    for t in op.terms:
+        m = np.eye(1, dtype=complex)
+        for a in t.axes:
+            m = np.kron(m, _SINGLE[a])
+        out += t.coeff * m
+    return out
+
 
 def pauli_exp(axes: str, alpha: float) -> np.ndarray:
     """Independent dense oracle for exp(-i*alpha*P) via eigendecomposition."""

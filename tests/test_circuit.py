@@ -9,7 +9,6 @@ from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
     Gate,
-    InternalError,
     export_qasm,
     metrics,
     rotation_circuit,
@@ -41,7 +40,7 @@ class TestTrotterSequence:
     def test_single_term(self):
         h = Interaction(op=PauliOp.from_label("XX", 0.7), encoding=ENC)
         seq = trotter_sequence(h, theta=0.5, steps=1)
-        assert seq == [(PauliTerm(0.7 + 0j, "XX"), 0.5 * 0.7)]
+        assert seq == [(PauliTerm.from_label(0.7 + 0j, "XX"), 0.5 * 0.7)]
 
     def test_entry_count_scales_with_steps(self):
         inter = interaction(ENC)
@@ -210,6 +209,20 @@ class TestQasmExport:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "69f73e4899b5d797b30300debd6c1aaffd6d50d73268a1e197d635f4db9dc747"
         )
+
+    @pytest.mark.parametrize(
+        "qpm, digest",
+        [
+            (2, "7071851c01ca66f86b4c6334d278df52bdbedf4089ed6fe0a3dcb45fec9cf936"),
+            (3, "5a48ed5f20a5599cf80dcd68180c7f76a2ff3f8d3664f132657c348b089ecc42"),
+            (4, "ba8e5bb994651678445ff1e20d68f0c275e1767af660fb3694c108e9c3d6ee36"),
+        ],
+    )
+    def test_full_qasm_unchanged(self, qpm, digest):
+        # Digests of the 1-step π/4 QASM emitted before Pauli strings became codes.
+        inter = interaction(FockEncoding(qpm))
+        text = export_qasm(synthesize(inter, math.pi / 4, 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_angle_formatting(self):
         text = export_qasm(Circuit(1, (Gate("RZ", 0, angle=math.pi),)))

@@ -92,6 +92,46 @@ class TestRunHom:
             with pytest.raises(ValueError):
                 run_hom(ExperimentConfig(**d["config"]))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: [d.pop(k) for k in list(d) if k != "config"],
+            lambda d: d.pop("probabilities"),
+            lambda d: d.pop("rng"),
+            lambda d: d.update(extra=1),
+            lambda d: d.update(probabilities=[0.5, 0.5]),
+            lambda d: d.update(probabilities={"11": "0.5"}),
+            lambda d: d.update(probabilities={"11": True}),
+            lambda d: d.update(metrics=[]),
+            lambda d: d.update(fidelity_to_exact="1.0"),
+            lambda d: d.update(fidelity_to_exact=None),
+            lambda d: d.update(rng="numpy-pcg64"),
+        ],
+        ids=[
+            "config-only",
+            "missing-key",
+            "missing-rng",
+            "unknown-key",
+            "probabilities-list",
+            "probability-str",
+            "probability-bool",
+            "metrics-list",
+            "fidelity-str",
+            "fidelity-none",
+            "rng-str",
+        ],
+    )
+    def test_malformed_report_rejected(self, edit):
+        d = run_hom(ExperimentConfig(shots=10)).to_dict()
+        edit(d)
+        with pytest.raises(ValueError):
+            ExperimentReport.from_dict(d)
+
+    def test_exact_report_round_trips_through_json(self):
+        # metrics is null on the exact path.
+        report = run_hom(ExperimentConfig(exact=True, shots=10))
+        assert ExperimentReport.from_json(report.to_json()) == report
+
     def test_rng_algorithm_recorded(self):
         report = run_hom(ExperimentConfig(exact=True, seed=5))
         assert report.rng == {"algorithm": "numpy-pcg64", "seed": 5}
@@ -201,6 +241,19 @@ class TestCli:
         assert result.exit_code == 0
         header = result.output.splitlines()[0]
         assert header == "steps,p_0101,p_0011,p_1100,fidelity,depth,cx_count"
+
+    @pytest.mark.parametrize(
+        "qpm, columns",
+        [(1, ["p_11"]), (2, ["p_0101", "p_0011", "p_1100"])],
+    )
+    def test_sweep_trotter_at_narrow_modes(self, qpm, columns):
+        result = CliRunner().invoke(
+            main,
+            ["sweep-trotter", "--steps-list", "1,2", "--qubits-per-mode", str(qpm)],
+        )
+        assert result.exit_code == 0, result.output
+        rows = json.loads(result.output)
+        assert [k for k in rows[0] if k.startswith("p_")] == columns
 
     def test_sweep_theta_json(self):
         result = CliRunner().invoke(main, ["sweep-theta", "--points", "3"])

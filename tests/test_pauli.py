@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import kron_matrix
 from homsim.pauli import PauliOp, PauliTerm
 
 
@@ -11,22 +12,29 @@ def op(label, coeff=1.0):
 
 class TestTermMultiply:
     def test_xy_gives_iz(self):
-        assert PauliTerm(1, "X") * PauliTerm(1, "Y") == PauliTerm(1j, "Z")
+        x, y = PauliTerm.from_label(1, "X"), PauliTerm.from_label(1, "Y")
+        assert x * y == PauliTerm.from_label(1j, "Z")
 
     def test_two_qubit_product(self):
-        assert PauliTerm(1, "XI") * PauliTerm(1, "XZ") == PauliTerm(1 + 0j, "IZ")
+        a, b = PauliTerm.from_label(1, "XI"), PauliTerm.from_label(1, "XZ")
+        assert a * b == PauliTerm.from_label(1 + 0j, "IZ")
 
     def test_y_squared_is_identity(self):
-        assert PauliTerm(2, "Y") * PauliTerm(3, "Y") == PauliTerm(6 + 0j, "I")
+        a, b = PauliTerm.from_label(2, "Y"), PauliTerm.from_label(3, "Y")
+        assert a * b == PauliTerm.from_label(6 + 0j, "I")
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            PauliTerm(1, "X") * PauliTerm(1, "XY")
+            PauliTerm.from_label(1, "X") * PauliTerm.from_label(1, "XY")
+
+    def test_invalid_label_rejected(self):
+        with pytest.raises(ValueError):
+            PauliTerm.from_label(1, "XA")
 
 
 class TestOpArithmetic:
     def test_like_terms_collect(self):
-        assert (op("X") + op("X")).terms == (PauliTerm(2 + 0j, "X"),)
+        assert (op("X") + op("X")).terms == (PauliTerm.from_label(2 + 0j, "X"),)
 
     def test_cancellation_gives_empty(self):
         assert len(op("X") + op("X", -1.0)) == 0
@@ -40,7 +48,7 @@ class TestOpArithmetic:
             op("X") + op("XY")
 
     def test_scale(self):
-        assert op("Z").scale(2j).terms == (PauliTerm(2j, "Z"),)
+        assert op("Z").scale(2j).terms == (PauliTerm.from_label(2j, "Z"),)
 
 
 class TestTensor:
@@ -92,6 +100,12 @@ class TestIsHermitian:
     def test_imaginary_coefficient(self):
         assert not op("X", 1j).is_hermitian()
 
+    @pytest.mark.parametrize("imag, hermitian", [(0.4e-12, True), (0.75e-12, False)])
+    def test_tolerance_is_that_of_the_adjoint_difference(self, imag, hermitian):
+        a = op("X", 1 + 1j * imag)
+        assert a.is_hermitian() is hermitian
+        assert (len(a - a.adjoint()) == 0) is hermitian
+
 
 class TestRendering:
     def test_coefficients_at_12_digits(self):
@@ -105,50 +119,74 @@ class TestRendering:
 
 
 coeffs = st.sampled_from([1.0, -1.0, 0.5, 2.0, 1j, -0.5j, 1 + 1j])
-axes_strings = st.text(alphabet="IXYZ", min_size=1, max_size=4)
 
 
 @st.composite
-def term_pairs(draw):
-    axes_a = draw(axes_strings)
-    axes_b = draw(st.text(alphabet="IXYZ", min_size=len(axes_a), max_size=len(axes_a)))
-    return (
-        PauliTerm(draw(coeffs), axes_a),
-        PauliTerm(draw(coeffs), axes_b),
-    )
+def labels(draw, width=None):
+    width = draw(st.integers(1, 5)) if width is None else width
+    return draw(st.text(alphabet="IXYZ", min_size=width, max_size=width))
+
+
+@st.composite
+def operators(draw, width):
+    terms = st.builds(PauliTerm.from_label, coeffs, labels(width))
+    return PauliOp(draw(st.lists(terms, max_size=6)), width=width)
+
+
+@st.composite
+def op_pairs(draw):
+    width = draw(st.integers(1, 5))
+    return draw(operators(width)), draw(operators(width))
 
 
 class TestDenseCorrespondence:
-    @given(term_pairs())
+    @given(op_pairs())
+    def test_matches_kron_reference(self, pair):
+        for a in pair:
+            np.testing.assert_array_equal(a.to_matrix(), kron_matrix(a))
+
+    @given(op_pairs())
     def test_product_homomorphism(self, pair):
         a, b = pair
         np.testing.assert_allclose(
-            (a * b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12
+            (a * b).to_matrix(), kron_matrix(a) @ kron_matrix(b), atol=1e-12
         )
 
-    @given(term_pairs())
+    @given(op_pairs())
     def test_linearity(self, pair):
         a, b = pair
-        lhs = (PauliOp([a]) + PauliOp([b])).to_matrix()
-        np.testing.assert_allclose(lhs, a.to_matrix() + b.to_matrix(), atol=1e-12)
-
-    @given(st.lists(term_pairs(), min_size=1, max_size=3))
-    def test_simplify_idempotent_and_matrix_preserving(self, pairs):
-        width = pairs[0][0].width
-        terms = [t for pair in pairs for t in pair if t.width == width]
-        a = PauliOp(terms, width=width)
-        resimplified = PauliOp(a.terms, width=width)
-        assert resimplified == a
-        dense = np.zeros((2 ** width, 2 ** width), dtype=complex)
-        for t in terms:
-            dense += t.to_matrix()
-        np.testing.assert_allclose(a.to_matrix(), dense, atol=1e-12)
-
-    @given(st.lists(term_pairs(), min_size=1, max_size=3))
-    def test_adjoint_is_conjugate_transpose(self, pairs):
-        width = pairs[0][0].width
-        terms = [t for pair in pairs for t in pair if t.width == width]
-        a = PauliOp(terms, width=width)
         np.testing.assert_allclose(
-            a.adjoint().to_matrix(), a.to_matrix().conj().T, atol=1e-12
+            (a + b).to_matrix(), kron_matrix(a) + kron_matrix(b), atol=1e-12
         )
+
+    @given(op_pairs())
+    def test_simplify_idempotent_and_matrix_preserving(self, pair):
+        a, b = pair
+        combined = PauliOp(a.terms + b.terms + a.terms, width=a.width)
+        assert PauliOp(combined.terms, width=a.width) == combined
+        np.testing.assert_allclose(
+            combined.to_matrix(), 2 * kron_matrix(a) + kron_matrix(b), atol=1e-12
+        )
+
+    @given(op_pairs())
+    def test_adjoint_is_conjugate_transpose(self, pair):
+        a = pair[0] * pair[1]
+        np.testing.assert_allclose(
+            a.adjoint().to_matrix(), kron_matrix(a).conj().T, atol=1e-12
+        )
+
+    @given(op_pairs())
+    def test_hermitian_iff_adjoint_difference_vanishes(self, pair):
+        for a in (*pair, pair[0] * pair[1]):
+            assert a.is_hermitian() == (len(a - a.adjoint()) == 0)
+
+    @given(labels())
+    def test_label_round_trip(self, label):
+        assert PauliTerm.from_label(1.0, label).axes == label
+        assert PauliOp.from_label(label).terms[0].axes == label
+
+    @given(op_pairs())
+    def test_terms_in_label_order(self, pair):
+        for a in (*pair, pair[0] * pair[1], pair[0].tensor(pair[1])):
+            axes = [t.axes for t in a.terms]
+            assert axes == sorted(axes)
