@@ -128,13 +128,16 @@ def synthesize(inter: Interaction, theta: float, steps: int) -> Circuit:
     """Trotterized circuit whose unitary is exp(+iθH) to first order.
 
     rotation_circuit implements exp(-iαP), so each Trotter angle flips sign
-    here to realize the +iθ exponent of the beam splitter.
+    here to realize the +iθ exponent of the beam splitter. Every step is the
+    same product, so the first step's gates are built once and repeated.
     """
-    gates: list[Gate] = []
-    n = inter.op.width
-    for term, angle in trotter_sequence(inter, theta, steps):
-        gates.extend(rotation_circuit(term.axes, -angle).gates)
-    return Circuit(n, tuple(gates))
+    sequence = trotter_sequence(inter, theta, steps)
+    step = [
+        g
+        for term, angle in sequence[: len(sequence) // steps]
+        for g in rotation_circuit(term.axes, -angle).gates
+    ]
+    return Circuit(inter.op.width, tuple(step) * steps)
 
 
 def metrics(c: Circuit) -> dict:

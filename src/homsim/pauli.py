@@ -6,10 +6,10 @@ qubit 0 in the top bits, I, X, Y, Z = 0, 1, 2, 3. "XZIY" (X on qubit 0) is
 symplectic pair x = low ^ high, z = high, with P = i^|x&z|·X^x·Z^z
 (Aaronson & Gottesman, PRA 70, 052328 (2004)). A product's string is
 code₁ ^ code₂, its phase i^(|x₁&z₁| + |x₂&z₂| − |x₃&z₃| + 2|z₁&x₂|), exact in
-{1, i, −1, −i}. Dense matrices (qubit 0 = most significant bit) follow
-from P|j⟩ = i^|x&z|·(−1)^|z&j|·|j⊕x⟩ and are the verification oracle for
-every other module. Text labels exist only at the edges (``from_label``,
-``axes``).
+{1, i, −1, −i}. Dense matrices (qubit 0 = most significant bit) and the
+statevector's Pauli rotations follow from P|j⟩ = i^|x&z|·(−1)^|z&j|·|j⊕x⟩;
+the dense matrices are the verification oracle for every other module.
+Text labels exist only at the edges (``from_label``, ``axes``).
 """
 from __future__ import annotations
 
@@ -157,13 +157,9 @@ class PauliOp:
                 f"dense path capped at {MAX_DENSE_QUBITS} qubits, got {self.width}"
             )
         j = np.arange(2 ** self.width)
-        sign = np.ones(len(j), dtype=int)  # (-1)^|j|, doubled one bit at a time
-        for b in range(self.width):
-            sign[1 << b : 2 << b] = -sign[: 1 << b]
         out = np.zeros((len(j), len(j)), dtype=complex)
-        for t in self.terms:
-            x, z = t.xz
-            out[j ^ x, j] += t.coeff * _PHASE[(x & z).bit_count() % 4] * sign[z & j]
+        for t, rows, values in _columns(self.terms, self.width):
+            out[rows, j] += t.coeff * values
         return out
 
     def __eq__(self, other) -> bool:
@@ -181,6 +177,21 @@ class PauliOp:
 
     def __repr__(self) -> str:
         return f"PauliOp({self})"
+
+
+def _columns(terms: Iterable[PauliTerm], width: int):
+    """Yield (term, j ⊕ x, i^|x&z|·(−1)^|z&j|) over j: P|j⟩ = value[j]·|j ⊕ x⟩.
+
+    The one place the phase convention lives; the parity table (−1)^|j| is
+    doubled one bit at a time, once per call.
+    """
+    j = np.arange(2 ** width)
+    sign = np.ones(len(j), dtype=int)
+    for b in range(width):
+        sign[1 << b : 2 << b] = -sign[: 1 << b]
+    for t in terms:
+        x, z = t.xz
+        yield t, j ^ x, _PHASE[(x & z).bit_count() % 4] * sign[z & j]
 
 
 def _fmt_coeff(c: complex) -> str:

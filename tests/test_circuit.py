@@ -224,6 +224,24 @@ class TestQasmExport:
         text = export_qasm(synthesize(inter, math.pi / 4, 1))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "reduced, qpm, steps, digest",
+        [
+            (False, 2, 8, "e563d7bad8a2475fa9d2c74fabc8540e21a146bef6c50a49769a7abbba2717bb"),
+            (False, 3, 4, "a985e8e3d821bafdd76b6a6b8c6cc59db97c2aafab4e7ec8a4a3f54d00b2ff61"),
+            (True, 2, 8, "8a12bddc0c4d55a30084b003a3ad20e366394d3a1f65d9d345967fd6d4c59028"),
+        ],
+    )
+    def test_multi_step_qasm_unchanged(self, reduced, qpm, steps, digest):
+        # Digests of the π/4 QASM emitted while every step was synthesized anew.
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        one_step = len(synthesize(inter, math.pi / 4, 1).gates)
+        text = export_qasm(synthesize(inter, math.pi / 4, steps))
+        body = text.splitlines()[3:]
+        assert body == body[:one_step] * steps
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_angle_formatting(self):
         text = export_qasm(Circuit(1, (Gate("RZ", 0, angle=math.pi),)))
         assert "rz(3.14159265358979) q[0];" in text

@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from homsim import statevector as sv
+from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
+from homsim.circuit import synthesize
 from homsim.cli import main
 from homsim.experiments import (
     ExperimentConfig,
@@ -15,6 +18,7 @@ from homsim.experiments import (
     sweep_trotter,
     theta_grid,
 )
+from homsim.gray import FockEncoding, gray_bits
 
 
 class TestRunHom:
@@ -53,6 +57,24 @@ class TestRunHom:
         assert report.metrics["total_gates"] == 0
         assert report.fidelity_to_exact == pytest.approx(1.0, abs=1e-12)
         assert report.probabilities["11"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_circuit_run_matches_gate_path(self, qpm, reduced):
+        config = ExperimentConfig(
+            theta=0.6, trotter_steps=3, shots=10, reduced=reduced, qubits_per_mode=qpm
+        )
+        report = run_hom(config)
+        enc = FockEncoding(qpm)
+        full = interaction(enc)
+        inter = reduced_interaction(enc, 2) if reduced else full
+        start = sv.init_basis(2 * qpm, gray_bits(enc, 1) * 2)
+        gates = sv.apply_circuit(start, synthesize(inter, 0.6, 3))
+        exact = sv.apply_dense(start, exact_unitary(0.6, full))
+        np.testing.assert_allclose(
+            list(report.probabilities.values()), sv.probabilities(gates), rtol=0, atol=1e-12
+        )
+        assert report.fidelity_to_exact == pytest.approx(sv.fidelity(exact, gates), abs=1e-12)
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -106,6 +128,15 @@ class TestRunHom:
             lambda d: d.update(fidelity_to_exact="1.0"),
             lambda d: d.update(fidelity_to_exact=None),
             lambda d: d.update(rng="numpy-pcg64"),
+            lambda d: d.update(counts={k: str(c) for k, c in d["counts"].items()}),
+            lambda d: d.update(counts={k: float(c) for k, c in d["counts"].items()}),
+            lambda d: d.update(counts={"0101": True}, shots=1),
+            lambda d: d.update(counts={"0101": -1, "0011": 11}),
+            lambda d: d.update(counts={"zzzz": 10}),
+            lambda d: d.update(counts={"01": 10}),
+            lambda d: d.update(shots=10.0),
+            lambda d: d.update(counts={"0101": 1}, shots=True),
+            lambda d: d.update(counts={}, shots=0),
         ],
         ids=[
             "config-only",
@@ -119,6 +150,15 @@ class TestRunHom:
             "fidelity-str",
             "fidelity-none",
             "rng-str",
+            "count-str",
+            "count-float",
+            "count-bool",
+            "count-negative",
+            "label-not-binary",
+            "label-wrong-width",
+            "shots-float",
+            "shots-bool",
+            "shots-zero",
         ],
     )
     def test_malformed_report_rejected(self, edit):

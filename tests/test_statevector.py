@@ -3,18 +3,21 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import stats
 
 from homsim import statevector as sv
-from homsim.beamsplitter import exact_unitary, interaction
-from homsim.circuit import Circuit, Gate
-from homsim.experiments import ExperimentConfig, sweep_trotter
+from homsim.beamsplitter import Interaction, exact_unitary, interaction
+from homsim.circuit import Circuit, Gate, synthesize, trotter_sequence
 from homsim.gray import FockEncoding
+from homsim.pauli import PauliOp, PauliTerm
 from homsim.statevector import (
     Histogram,
+    StateVector,
     apply_circuit,
     apply_dense,
     apply_gate,
+    apply_rotations,
     circuit_unitary,
     fidelity,
     init_basis,
@@ -205,8 +208,6 @@ class TestFidelity:
 
     def test_global_phase_invariance(self):
         s = init_basis(2, "11")
-        from homsim.statevector import StateVector
-
         shifted = StateVector(2, np.exp(0.7j) * s.amplitudes)
         assert fidelity(s, shifted) == pytest.approx(1.0, abs=1e-12)
 
@@ -215,18 +216,41 @@ class TestFidelity:
             fidelity(init_basis(1, "0"), init_basis(2, "00"))
 
 
-class TestGateMatrixCache:
-    def test_bounded_across_repeated_sweeps(self):
-        cache = sv._gate_matrix
-        cache.cache_clear()
-        for theta in (0.3, 0.5, 0.7, 0.9):
-            sweep_trotter(ExperimentConfig(theta=theta, shots=1), [1, 2, 4])
-            assert cache.cache_info().currsize <= sv.GATE_CACHE_SIZE
-        # A sweep's working set fits: repeating the last one misses nothing.
-        misses = cache.cache_info().misses
-        sweep_trotter(ExperimentConfig(theta=0.9, shots=1), [1, 2, 4])
-        assert cache.cache_info().misses == misses
-        for k in range(sv.GATE_CACHE_SIZE + 10):
-            cache("RZ", 1e-3 * k)
-        assert cache.cache_info().currsize == sv.GATE_CACHE_SIZE
-        cache.cache_clear()
+@st.composite
+def hermitian_runs(draw):
+    """A real-weighted Pauli sum of 1-5 qubits, θ, 1-3 steps and a random unit state."""
+    width = draw(st.integers(1, 5))
+    label = st.text(alphabet="IXYZ", min_size=width, max_size=width)
+    weight = st.floats(-2.0, 2.0, allow_nan=False)
+    terms = draw(st.lists(st.builds(PauliTerm.from_label, weight, label), max_size=6))
+    op = PauliOp(terms, width=width)
+    theta = draw(st.floats(-math.pi, math.pi, allow_nan=False))
+    steps = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    psi = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
+    start = StateVector(width, psi / np.linalg.norm(psi))
+    return Interaction(op=op, encoding=FockEncoding(1)), theta, steps, start
+
+
+class TestApplyRotations:
+    @given(hermitian_runs())
+    def test_matches_gate_path(self, run):
+        # RZ(2α) and RX(2α) are exactly exp(-iαZ) and exp(-iαX): no phase to remove.
+        inter, theta, steps, start = run
+        fast = apply_rotations(start, trotter_sequence(inter, theta, steps))
+        gates = apply_circuit(start, synthesize(inter, theta, steps))
+        np.testing.assert_allclose(fast.amplitudes, gates.amplitudes, rtol=0, atol=1e-12)
+
+    def test_width_mismatch_rejected(self):
+        term = PauliTerm.from_label(1.0, "XYZ")
+        with pytest.raises(ValueError, match="does not fit a register of 2"):
+            apply_rotations(init_basis(2, "00"), [(term, 0.1)])
+
+    def test_width_cap_matches_gate_path(self, monkeypatch):
+        monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
+        s = init_basis(4, "0000")
+        with pytest.raises(ValueError, match="capped at 3 qubits") as fast:
+            apply_rotations(s, [(PauliTerm.from_label(1.0, "XIII"), 0.1)])
+        with pytest.raises(ValueError) as gates:
+            apply_circuit(s, Circuit(4, (Gate("X", 0),)))
+        assert str(fast.value) == str(gates.value)
