@@ -24,14 +24,13 @@ class Interaction:
     """Hermitian two-mode hopping Hamiltonian over 2*N_q qubits."""
 
     op: PauliOp
-    encoding: FockEncoding
 
 
 def interaction(encoding: FockEncoding) -> Interaction:
     """Full beam-splitter Hamiltonian b†a + ba†, both modes identically encoded."""
     b_dag = creation_op(encoding)
     b = annihilation_op(encoding)
-    return Interaction(op=b_dag.tensor(b) + b.tensor(b_dag), encoding=encoding)
+    return Interaction(op=b_dag.tensor(b) + b.tensor(b_dag))
 
 
 def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:
@@ -50,7 +49,7 @@ def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:
         hop = hop_term(encoding, n).tensor(hop_term(encoding, m).adjoint())
         hop = hop.scale(math.sqrt(n * m))
         op = op + hop + hop.adjoint()
-    return Interaction(op=op, encoding=encoding)
+    return Interaction(op=op)
 
 
 def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:

@@ -59,11 +59,6 @@ class Circuit:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} outside register of {self.n_qubits}")
 
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("register width mismatch")
-        return Circuit(self.n_qubits, self.gates + other.gates)
-
 
 def trotter_sequence(
     inter: Interaction, theta: float, steps: int

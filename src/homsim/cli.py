@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: run, sweep-trotter, sweep-theta, circuit-report. Results go
-to stdout unless --out is given; a directory --out gets an auto-generated
-filename embedding the config hash. Exit codes: 0 success, 2 invalid
-config, 3 internal invariant violation.
+Subcommands: run, sweep-trotter, sweep-theta, circuit-report. Each takes
+only the config options it reads; the ExperimentConfig fields it does not
+take keep their defaults. Results go to stdout unless --out is given; a
+directory --out gets an auto-generated filename embedding the config hash.
+Exit codes: 0 success, 2 invalid config or usage (an option the command
+does not take included), 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -46,25 +48,27 @@ def _guarded(f):
     return wrapper
 
 
-def _config_options(f):
-    for opt in reversed(
-        [
-            click.option("--theta", type=float, default=math.pi / 4, show_default=True),
-            click.option("--steps", type=int, default=1, show_default=True),
-            click.option("--shots", type=int, default=10_000, show_default=True),
-            click.option("--seed", type=int, default=1234, show_default=True),
-            click.option("--reduced", is_flag=True,
-                         help="Compile H projected onto the input's 2-photon sector."),
-            click.option("--exact", is_flag=True, help="Bypass the circuit; dense oracle."),
-            click.option("--qubits-per-mode", type=int, default=2, show_default=True),
-        ]
-    ):
-        f = opt(f)
-    return f
+_CONFIG_OPTIONS = {
+    "theta": click.option("--theta", type=float, default=math.pi / 4, show_default=True),
+    "steps": click.option("--steps", "trotter_steps", type=int, default=1, show_default=True),
+    "shots": click.option("--shots", type=int, default=10_000, show_default=True),
+    "seed": click.option("--seed", type=int, default=1234, show_default=True),
+    "reduced": click.option("--reduced", is_flag=True,
+                            help="Compile H projected onto the input's 2-photon sector."),
+    "exact": click.option("--exact", is_flag=True, help="Bypass the circuit; dense oracle."),
+    "qubits-per-mode": click.option("--qubits-per-mode", type=int, default=2,
+                                    show_default=True),
+}
 
 
-def _build_config(steps, **kwargs):
-    return ExperimentConfig(trotter_steps=steps, **kwargs)
+def _config_options(*names):
+    """The named ExperimentConfig options; the fields left out keep their defaults."""
+    def decorate(f):
+        for name in reversed(names):
+            f = _CONFIG_OPTIONS[name](f)
+        return f
+
+    return decorate
 
 
 def _write(text: str, out: str | None, default_name: str) -> None:
@@ -99,18 +103,18 @@ def main():
 
 
 @main.command("run")
-@_config_options
+@_config_options(*_CONFIG_OPTIONS)
 @click.option("--out", type=click.Path(), default=None)
 @_guarded
 def run_cmd(out, **kwargs):
     """Single interference run; JSON report."""
-    config = _build_config(**kwargs)
+    config = ExperimentConfig(**kwargs)
     report = run_hom(config)
     _write(report.to_json(), out, f"hom-run-{config.hash()}.json")
 
 
 @main.command("sweep-trotter")
-@_config_options
+@_config_options("theta", "reduced", "qubits-per-mode")
 @click.option("--steps-list", default="1,2,4,8,16", show_default=True,
               help="Comma-separated Trotter step counts.")
 @click.option("--out", type=click.Path(), default=None)
@@ -119,14 +123,14 @@ def run_cmd(out, **kwargs):
 @_guarded
 def sweep_trotter_cmd(steps_list, out, fmt, **kwargs):
     """Coincidence suppression vs Trotter step count."""
-    config = _build_config(**kwargs)
+    config = ExperimentConfig(**kwargs)
     steps = [int(s) for s in steps_list.split(",") if s.strip()]
     rows = sweep_trotter(config, steps)
     _rows_out(rows, fmt, out, f"hom-sweep-trotter-{config.hash()}")
 
 
 @main.command("sweep-theta")
-@_config_options
+@_config_options("steps", "reduced", "qubits-per-mode")
 @click.option("--points", type=int, default=17, show_default=True)
 @click.option("--circuit", "use_circuit", is_flag=True,
               help="Use the Trotterized circuit instead of the exact oracle.")
@@ -135,21 +139,24 @@ def sweep_trotter_cmd(steps_list, out, fmt, **kwargs):
               show_default=True)
 @_guarded
 def sweep_theta_cmd(points, use_circuit, out, fmt, **kwargs):
-    """Coincidence probability across splitter angles."""
-    config = _build_config(**kwargs)
+    """Coincidence probability across splitter angles.
+
+    --steps and --reduced shape the circuit, so they apply with --circuit.
+    """
+    config = ExperimentConfig(**kwargs)
     rows = sweep_theta(config, theta_grid(points), use_circuit=use_circuit)
     _rows_out(rows, fmt, out, f"hom-sweep-theta-{config.hash()}")
 
 
 @main.command("circuit-report")
-@_config_options
+@_config_options("theta", "steps", "qubits-per-mode")
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--qasm-out", type=click.Path(), default=None,
               help="Directory for full/reduced QASM dumps.")
 @_guarded
 def circuit_report_cmd(out, qasm_out, **kwargs):
     """Full vs reduced circuit metrics, plus QASM export."""
-    config = _build_config(**kwargs)
+    config = ExperimentConfig(**kwargs)
     report = circuit_report(config)
     if qasm_out is not None:
         qdir = Path(qasm_out)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -75,7 +75,7 @@ class ExperimentReport:
     probabilities: dict[str, float]
     counts: sv.Histogram
     metrics: Optional[dict]
-    fidelity_to_exact: float
+    fidelity: float
     rng: dict
 
     def to_dict(self) -> dict:
@@ -85,7 +85,7 @@ class ExperimentReport:
             "counts": dict(self.counts.counts),
             "shots": self.counts.shots,
             "metrics": self.metrics,
-            "fidelity_to_exact": self.fidelity_to_exact,
+            "fidelity": self.fidelity,
             "rng": self.rng,
         }
 
@@ -104,8 +104,8 @@ class ExperimentReport:
             isinstance(k, str) and _is_number(p) for k, p in d["probabilities"].items()
         ):
             raise ValueError("probabilities must map labels to numbers")
-        if not _is_number(d["fidelity_to_exact"]):
-            raise ValueError("fidelity_to_exact must be a number")
+        if not _is_number(d["fidelity"]):
+            raise ValueError("fidelity must be a number")
         unknown = set(d["config"]) - {f.name for f in fields(ExperimentConfig)}
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
@@ -124,7 +124,7 @@ class ExperimentReport:
             probabilities=d["probabilities"],
             counts=sv.Histogram(counts=d["counts"], shots=d["shots"]),
             metrics=d["metrics"],
-            fidelity_to_exact=d["fidelity_to_exact"],
+            fidelity=d["fidelity"],
             rng=d["rng"],
         )
 
@@ -182,7 +182,7 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
         probabilities=prob_map,
         counts=histogram,
         metrics=metrics_out,
-        fidelity_to_exact=sv.fidelity(exact_state, out),
+        fidelity=sv.fidelity(exact_state, out),
         rng={"algorithm": sv.RNG_ALGORITHM, "seed": config.seed},
     )
 
@@ -190,10 +190,15 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
 def sweep_trotter(
     config: ExperimentConfig, steps_list: Sequence[int]
 ) -> list[dict]:
-    """One row per Trotter step count; row seeds derive from the base seed."""
+    """One row per Trotter step count; row seeds derive from the base seed.
+
+    The rows compare circuits, so a config on the exact path is refused.
+    """
     if not steps_list:
         raise ValueError("steps_list must be non-empty")
     config.validate()
+    if config.exact:
+        raise ValueError("Trotter sweep requires the circuit path")
     encoding = FockEncoding(config.qubits_per_mode)
     # The input first, then the other sector states |k, N-k> the encoding holds.
     sector = [(k, PHOTONS - k) for k in range(PHOTONS + 1)]
@@ -202,20 +207,12 @@ def sweep_trotter(
 
     rows = []
     for i, steps in enumerate(steps_list):
-        row_config = ExperimentConfig(
-            **{
-                **asdict(config),
-                "trotter_steps": int(steps),
-                "seed": config.seed + i,
-                "exact": False,
-            }
-        )
-        report = run_hom(row_config)
+        report = run_hom(replace(config, trotter_steps=int(steps), seed=config.seed + i))
         rows.append(
             {
                 "steps": int(steps),
                 **{f"p_{label}": report.probabilities[label] for label in labels},
-                "fidelity": report.fidelity_to_exact,
+                "fidelity": report.fidelity,
                 "depth": report.metrics["depth"],
                 "cx_count": report.metrics["cx_count"],
             }
@@ -239,10 +236,7 @@ def sweep_theta(
     coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
     rows = []
     for theta in theta_grid:
-        row_config = ExperimentConfig(
-            **{**asdict(config), "theta": float(theta), "exact": not use_circuit}
-        )
-        report = run_hom(row_config)
+        report = run_hom(replace(config, theta=float(theta), exact=not use_circuit))
         rows.append(
             {
                 "theta": float(theta),

@@ -105,23 +105,21 @@ def _check_width(n: int) -> None:
         raise ValueError(f"gate path capped at {MAX_GATE_QUBITS} qubits")
 
 
-def _check_gate(g: Gate, n: int) -> None:
-    _check_width(n)
-    if any(q < 0 or q >= n for q in g.qubits):
-        raise ValueError(f"gate {g} outside register of {n}")
-
-
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
-    _check_gate(g, s.n_qubits)
+    # A bare gate has no register to have been checked against.
+    _check_width(s.n_qubits)
+    if any(q < 0 or q >= s.n_qubits for q in g.qubits):
+        raise ValueError(f"gate {g} outside register of {s.n_qubits}")
     return StateVector(s.n_qubits, _apply_gate_raw(s.amplitudes, g, s.n_qubits))
 
 
 def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
+    """Gate by gate; ``Circuit`` has already checked every gate against its register."""
     if c.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
+    _check_width(c.n_qubits)
     psi = s.amplitudes
     for g in c.gates:
-        _check_gate(g, c.n_qubits)
         psi = _apply_gate_raw(psi, g, c.n_qubits)
     return StateVector(s.n_qubits, psi)
 

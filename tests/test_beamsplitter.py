@@ -121,7 +121,7 @@ class TestExactUnitary:
             assert p == pytest.approx(math.cos(2 * theta) ** 2, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
-        bad = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC)
+        bad = Interaction(op=PauliOp.from_label("XY", 1j))
         with pytest.raises(ValueError):
             exact_unitary(1.0, bad)
 

@@ -38,7 +38,7 @@ class TestGateValidation:
 
 class TestTrotterSequence:
     def test_single_term(self):
-        h = Interaction(op=PauliOp.from_label("XX", 0.7), encoding=ENC)
+        h = Interaction(op=PauliOp.from_label("XX", 0.7))
         seq = trotter_sequence(h, theta=0.5, steps=1)
         assert seq == [(PauliTerm.from_label(0.7 + 0j, "XX"), 0.5 * 0.7)]
 
@@ -48,15 +48,12 @@ class TestTrotterSequence:
         assert len(trotter_sequence(inter, 1.0, 5)) == 5 * k
 
     def test_identity_terms_skipped(self):
-        h = Interaction(
-            op=PauliOp.from_label("II", 2.0) + PauliOp.from_label("ZZ", 1.0),
-            encoding=ENC,
-        )
+        h = Interaction(op=PauliOp.from_label("II", 2.0) + PauliOp.from_label("ZZ", 1.0))
         seq = trotter_sequence(h, 1.0, 1)
         assert [t.axes for t, _ in seq] == ["ZZ"]
 
     def test_non_hermitian_rejected(self):
-        h = Interaction(op=PauliOp.from_label("XY", 1j), encoding=ENC)
+        h = Interaction(op=PauliOp.from_label("XY", 1j))
         with pytest.raises(ValueError):
             trotter_sequence(h, 1.0, 1)
 
@@ -203,7 +200,7 @@ class TestQasmExport:
     def test_reduced_two_qubit_qasm_unchanged(self):
         # Digest of the 1-step π/4 QASM the hand-written operator has always emitted.
         text = export_qasm(synthesize(reduced_interaction(ENC, 2), math.pi / 4, 1))
-        hand = Interaction(op=hand_reduced_q2(), encoding=ENC)
+        hand = Interaction(op=hand_reduced_q2())
         assert text == export_qasm(synthesize(hand, math.pi / 4, 1))
         assert text.count("\ncx ") == 64
         assert hashlib.sha256(text.encode()).hexdigest() == (

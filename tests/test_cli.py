@@ -1,0 +1,95 @@
+"""The `hom` options: each one read, none silently ignored, the README in step."""
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from homsim.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Where the output goes, not what is computed.
+OUTPUT_OPTIONS = {"out", "qasm_out", "fmt"}
+
+NON_DEFAULT = {
+    "--theta": "0.3",
+    "--steps": "3",
+    "--shots": "100",
+    "--seed": "7",
+    "--qubits-per-mode": "1",
+    "--steps-list": "1,3",
+    "--points": "5",
+}
+
+# sweep-theta reads the step count and the reduced flag on its circuit path only.
+BASE_ARGS = {
+    ("sweep-theta", "--steps"): ["--circuit"],
+    ("sweep-theta", "--reduced"): ["--circuit"],
+}
+
+REMOVED = [
+    ("sweep-trotter", "--steps", "3"),
+    ("sweep-trotter", "--exact"),
+    ("sweep-trotter", "--shots", "100"),
+    ("sweep-trotter", "--seed", "3"),
+    ("sweep-theta", "--theta", "0.3"),
+    ("sweep-theta", "--exact"),
+    ("sweep-theta", "--shots", "100"),
+    ("sweep-theta", "--seed", "3"),
+    ("circuit-report", "--shots", "100"),
+    ("circuit-report", "--seed", "3"),
+    ("circuit-report", "--reduced"),
+    ("circuit-report", "--exact"),
+]
+
+
+def computed(args: list[str]):
+    """The command's JSON output without its config echo."""
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    out = json.loads(result.output)
+    if isinstance(out, dict):
+        del out["config"]
+    return out
+
+
+@pytest.mark.parametrize(
+    "command, param",
+    [
+        pytest.param(name, p, id=f"{name}{p.opts[0]}")
+        for name, cmd in main.commands.items()
+        for p in cmd.params
+        if p.name not in OUTPUT_OPTIONS
+    ],
+)
+def test_every_option_changes_the_output(command, param):
+    flag = param.opts[0]
+    base = [command, *BASE_ARGS.get((command, flag), [])]
+    setting = [flag] if param.is_flag else [flag, NON_DEFAULT[flag]]
+    assert computed(base + setting) != computed(base)
+
+
+@pytest.mark.parametrize("args", REMOVED, ids=[" ".join(a[:2]) for a in REMOVED])
+def test_removed_option_is_a_usage_error(args):
+    result = CliRunner().invoke(main, list(args))
+    assert result.exit_code == 2
+    assert "No such option" in result.output and args[1] in result.output
+
+
+def readme_commands() -> list[list[str]]:
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hom ")]
+
+
+def test_readme_cli_block_found():
+    assert len(readme_commands()) >= 5
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
+def test_readme_command_runs(args):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output

@@ -36,7 +36,7 @@ class TestRunHom:
     def test_ten_step_circuit_regression(self):
         # bounds frozen from a dense-oracle run of this configuration
         report = run_hom(ExperimentConfig(trotter_steps=10))
-        assert report.fidelity_to_exact >= 0.978
+        assert report.fidelity >= 0.978
         assert report.probabilities["0101"] <= 1e-4
 
     def test_probabilities_sum_to_one(self):
@@ -55,7 +55,7 @@ class TestRunHom:
         # |1,1> is stationary when each mode holds at most one photon.
         report = run_hom(ExperimentConfig(reduced=True, qubits_per_mode=1))
         assert report.metrics["total_gates"] == 0
-        assert report.fidelity_to_exact == pytest.approx(1.0, abs=1e-12)
+        assert report.fidelity == pytest.approx(1.0, abs=1e-12)
         assert report.probabilities["11"] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("reduced", [False, True])
@@ -74,7 +74,7 @@ class TestRunHom:
         np.testing.assert_allclose(
             list(report.probabilities.values()), sv.probabilities(gates), rtol=0, atol=1e-12
         )
-        assert report.fidelity_to_exact == pytest.approx(sv.fidelity(exact, gates), abs=1e-12)
+        assert report.fidelity == pytest.approx(sv.fidelity(exact, gates), abs=1e-12)
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):
@@ -125,8 +125,8 @@ class TestRunHom:
             lambda d: d.update(probabilities={"11": "0.5"}),
             lambda d: d.update(probabilities={"11": True}),
             lambda d: d.update(metrics=[]),
-            lambda d: d.update(fidelity_to_exact="1.0"),
-            lambda d: d.update(fidelity_to_exact=None),
+            lambda d: d.update(fidelity="1.0"),
+            lambda d: d.update(fidelity=None),
             lambda d: d.update(rng="numpy-pcg64"),
             lambda d: d.update(counts={k: str(c) for k, c in d["counts"].items()}),
             lambda d: d.update(counts={k: float(c) for k, c in d["counts"].items()}),
@@ -195,6 +195,10 @@ class TestSweepTrotter:
         with pytest.raises(ValueError):
             sweep_trotter(ExperimentConfig(), [])
 
+    def test_exact_config_rejected(self):
+        with pytest.raises(ValueError, match="circuit path"):
+            sweep_trotter(ExperimentConfig(exact=True), [1])
+
 
 class TestSweepTheta:
     def test_exact_path_matches_cos_squared(self):
@@ -213,6 +217,17 @@ class TestSweepTheta:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_theta(ExperimentConfig(), [])
+
+    def test_circuit_path_matches_circuit_runs(self):
+        config = ExperimentConfig(trotter_steps=2)
+        grid = theta_grid(5)
+        rows = sweep_theta(config, grid, use_circuit=True)
+        for row, theta in zip(rows, grid):
+            report = run_hom(ExperimentConfig(theta=theta, trotter_steps=2))
+            assert report.metrics is not None
+            assert row["p_0101"] == report.probabilities["0101"]
+        exact = sweep_theta(config, grid)
+        assert max(abs(a["p_0101"] - b["p_0101"]) for a, b in zip(rows, exact)) > 0.01
 
 
 class TestCircuitReport:
@@ -302,6 +317,14 @@ class TestCli:
         assert [r["theta"] for r in rows] == pytest.approx(
             [0.0, math.pi / 4, math.pi / 2]
         )
+
+    def test_sweep_theta_circuit(self):
+        exact = CliRunner().invoke(main, ["sweep-theta", "--points", "5"])
+        circuit = CliRunner().invoke(main, ["sweep-theta", "--points", "5", "--circuit"])
+        assert circuit.exit_code == 0, circuit.output
+        rows = json.loads(circuit.output)
+        assert rows == sweep_theta(ExperimentConfig(), theta_grid(5), use_circuit=True)
+        assert rows != json.loads(exact.output)
 
     def test_circuit_report_with_qasm_files(self, tmp_path):
         result = CliRunner().invoke(

@@ -229,7 +229,7 @@ def hermitian_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     psi = rng.normal(size=2**width) + 1j * rng.normal(size=2**width)
     start = StateVector(width, psi / np.linalg.norm(psi))
-    return Interaction(op=op, encoding=FockEncoding(1)), theta, steps, start
+    return Interaction(op=op), theta, steps, start
 
 
 class TestApplyRotations:
