@@ -1,6 +1,12 @@
 """Gray-code bosonic compilation and two-photon interference simulation."""
 
-from .beamsplitter import Interaction, exact_unitary, interaction, reduced_interaction
+from .beamsplitter import (
+    Interaction,
+    exact_unitary,
+    interaction,
+    reduced_interaction,
+    sector_evolution,
+)
 from .circuit import (
     Circuit,
     Gate,
@@ -8,6 +14,7 @@ from .circuit import (
     metrics,
     rotation_circuit,
     synthesize,
+    trotter_circuit,
     trotter_sequence,
 )
 from .experiments import (
@@ -26,7 +33,6 @@ from .gray import (
     gray_bits,
     hop_term,
     ladder,
-    number_op,
     projector,
 )
 from .pauli import PauliOp, PauliTerm
@@ -71,16 +77,17 @@ __all__ = [
     "interaction",
     "ladder",
     "metrics",
-    "number_op",
     "probabilities",
     "projector",
     "reduced_interaction",
     "rotation_circuit",
     "run_hom",
     "sample",
+    "sector_evolution",
     "sweep_theta",
     "sweep_trotter",
     "synthesize",
+    "trotter_circuit",
     "trotter_sequence",
 ]
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .beamsplitter import Interaction
 from .pauli import PauliTerm
@@ -120,19 +120,29 @@ def rotation_circuit(axes: str, alpha: float) -> Circuit:
 
 
 def synthesize(inter: Interaction, theta: float, steps: int) -> Circuit:
-    """Trotterized circuit whose unitary is exp(+iθH) to first order.
+    """Trotterized circuit whose unitary is exp(+iθH) to first order."""
+    return trotter_circuit(
+        trotter_sequence(inter, theta, steps), inter.op.width, steps
+    )
+
+
+def trotter_circuit(
+    sequence: Sequence[tuple[PauliTerm, float]], n_qubits: int, steps: int
+) -> Circuit:
+    """Circuit of a ``trotter_sequence`` of ``steps`` identical steps.
 
     rotation_circuit implements exp(-iαP), so each Trotter angle flips sign
-    here to realize the +iθ exponent of the beam splitter. Every step is the
-    same product, so the first step's gates are built once and repeated.
+    here to realize the +iθ exponent of the beam splitter. The first step's
+    gates are built once and repeated.
     """
-    sequence = trotter_sequence(inter, theta, steps)
+    if steps < 1 or len(sequence) % steps:
+        raise ValueError(f"{len(sequence)} rotations do not split into {steps} steps")
     step = [
         g
         for term, angle in sequence[: len(sequence) // steps]
         for g in rotation_circuit(term.axes, -angle).gates
     ]
-    return Circuit(inter.op.width, tuple(step) * steps)
+    return Circuit(n_qubits, tuple(step) * steps)
 
 
 def metrics(c: Circuit) -> dict:

@@ -18,6 +18,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .experiments import (
     ExperimentConfig,
@@ -55,7 +56,7 @@ _CONFIG_OPTIONS = {
     "seed": click.option("--seed", type=int, default=1234, show_default=True),
     "reduced": click.option("--reduced", is_flag=True,
                             help="Compile H projected onto the input's 2-photon sector."),
-    "exact": click.option("--exact", is_flag=True, help="Bypass the circuit; dense oracle."),
+    "exact": click.option("--exact", is_flag=True, help="Bypass the circuit; evolve exactly."),
     "qubits-per-mode": click.option("--qubits-per-mode", type=int, default=2,
                                     show_default=True),
 }
@@ -137,12 +138,16 @@ def sweep_trotter_cmd(steps_list, out, fmt, **kwargs):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
+@click.pass_context
 @_guarded
-def sweep_theta_cmd(points, use_circuit, out, fmt, **kwargs):
+def sweep_theta_cmd(ctx, points, use_circuit, out, fmt, **kwargs):
     """Coincidence probability across splitter angles.
 
-    --steps and --reduced shape the circuit, so they apply with --circuit.
+    --steps and --reduced shape the circuit, so they need --circuit.
     """
+    for name, flag in (("trotter_steps", "--steps"), ("reduced", "--reduced")):
+        if not use_circuit and ctx.get_parameter_source(name) != ParameterSource.DEFAULT:
+            raise click.UsageError(f"{flag} shapes the circuit; it needs --circuit")
     config = ExperimentConfig(**kwargs)
     rows = sweep_theta(config, theta_grid(points), use_circuit=use_circuit)
     _rows_out(rows, fmt, out, f"hom-sweep-theta-{config.hash()}")

@@ -1,12 +1,15 @@
 """End-to-end interference experiment runs and sweeps.
 
 Each run prepares one photon per mode (|1,1>), evolves it through either
-the Trotterized circuit or the exact dense unitary, and reports
-probabilities, a seeded shot histogram, circuit metrics, and fidelity to
-the exact evolution. A circuit run evolves the state by the product of
-Pauli rotations the circuit compiles (``statevector.apply_rotations``);
-the tests cross-check it against running the synthesized circuit gate by
-gate, and the report's metrics are those of that circuit. The circuit is
+the Trotterized circuit or exactly, and reports probabilities, a seeded
+shot histogram, circuit metrics, and fidelity to the exact evolution. The
+exact evolution is computed on the input's photon sector
+(``beamsplitter.sector_evolution``), a matrix of at most N+1 rows, so no
+run builds a dense operator. A circuit run evolves the state by the
+product of Pauli rotations the circuit compiles
+(``statevector.apply_rotations``); the one Trotter sequence feeds both that
+pass and the circuit whose metrics the report carries, and the tests
+cross-check it against running the circuit gate by gate. The circuit is
 compiled from the full beam-splitter H, or with ``reduced`` from H
 projected onto the input's 2-photon sector, at any number of qubits per
 mode. Defaults reproduce the reference setup: 2 qubits per mode, a 1:1
@@ -24,7 +27,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import statevector as sv
-from .beamsplitter import exact_unitary, interaction, reduced_interaction
+from .beamsplitter import interaction, reduced_interaction, sector_evolution
 from .gray import FockEncoding, gray_bits
 
 # Photons in (mode B, mode A) of the interference input |1,1>.
@@ -158,18 +161,22 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
     config.validate()
     encoding = FockEncoding(config.qubits_per_mode)
     n = 2 * config.qubits_per_mode
-    initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
-    full = interaction(encoding)
-    exact_state = sv.apply_dense(initial, exact_unitary(config.theta, full))
+    exact_state = sv.StateVector(
+        n, sector_evolution(encoding, INPUT_FOCK, config.theta)
+    )
 
     metrics_out: Optional[dict] = None
     if config.exact:
         out = exact_state
     else:
-        inter = reduced_interaction(encoding, PHOTONS) if config.reduced else full
+        if config.reduced:
+            inter = reduced_interaction(encoding, PHOTONS)
+        else:
+            inter = interaction(encoding)
         sequence = circ.trotter_sequence(inter, config.theta, config.trotter_steps)
+        initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
         out = sv.apply_rotations(initial, sequence)
-        bs_circuit = circ.synthesize(inter, config.theta, config.trotter_steps)
+        bs_circuit = circ.trotter_circuit(sequence, n, config.trotter_steps)
         metrics_out = circ.metrics(bs_circuit)
 
     probs = sv.probabilities(out)
@@ -227,8 +234,8 @@ def sweep_theta(
 ) -> list[dict]:
     """Coincidence probability across splitter angles.
 
-    Uses the exact dense oracle unless ``use_circuit`` requests the
-    Trotterized circuit path.
+    Evolves exactly on the input's photon sector unless ``use_circuit``
+    requests the Trotterized circuit path.
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")

@@ -91,8 +91,3 @@ def creation_op(encoding: FockEncoding) -> PauliOp:
 def annihilation_op(encoding: FockEncoding) -> PauliOp:
     """Adjoint of the truncated creation operator."""
     return creation_op(encoding).adjoint()
-
-
-def number_op(encoding: FockEncoding) -> PauliOp:
-    """Photon-number operator, diag(0..N) on the encoded Fock basis."""
-    return creation_op(encoding) * annihilation_op(encoding)

@@ -157,9 +157,11 @@ class PauliOp:
                 f"dense path capped at {MAX_DENSE_QUBITS} qubits, got {self.width}"
             )
         j = np.arange(2 ** self.width)
+        parity = _parity(self.width)
         out = np.zeros((len(j), len(j)), dtype=complex)
-        for t, rows, values in _columns(self.terms, self.width):
-            out[rows, j] += t.coeff * values
+        for t in self.terms:
+            x, z, phase = _action(t)
+            out[j ^ x, j] += t.coeff * phase * parity[z & j]
         return out
 
     def __eq__(self, other) -> bool:
@@ -179,19 +181,22 @@ class PauliOp:
         return f"PauliOp({self})"
 
 
-def _columns(terms: Iterable[PauliTerm], width: int):
-    """Yield (term, j ⊕ x, i^|x&z|·(−1)^|z&j|) over j: P|j⟩ = value[j]·|j ⊕ x⟩.
+def _action(t: PauliTerm) -> tuple[int, int, complex]:
+    """(x, z, i^|x&z|) with P|j⟩ = i^|x&z|·(−1)^|z&j|·|j ⊕ x⟩.
 
-    The one place the phase convention lives; the parity table (−1)^|j| is
-    doubled one bit at a time, once per call.
+    The one place the phase convention lives; (−1)^|z&j| is
+    ``_parity(width)[z & j]``.
     """
-    j = np.arange(2 ** width)
-    sign = np.ones(len(j), dtype=int)
+    x, z = t.xz
+    return x, z, _PHASE[(x & z).bit_count() % 4]
+
+
+def _parity(width: int) -> np.ndarray:
+    """(−1)^|j| for j < 2^width as int8, doubled one bit at a time."""
+    sign = np.ones(2 ** width, dtype=np.int8)
     for b in range(width):
         sign[1 << b : 2 << b] = -sign[: 1 << b]
-    for t in terms:
-        x, z = t.xz
-        yield t, j ^ x, _PHASE[(x & z).bit_count() % 4] * sign[z & j]
+    return sign
 
 
 def _fmt_coeff(c: complex) -> str:

@@ -1,9 +1,12 @@
-"""Dense statevector execution, oracle matrix application, and seeded sampling.
+"""Dense statevector execution, test-oracle matrix application, and seeded sampling.
 
 Two ways to evolve a state by a Trotterized Hamiltonian: ``apply_rotations``
-applies each exp(+iαP) of a Trotter sequence as cos α·ψ + i sin α·Pψ, two
-vector operations per term; ``apply_circuit`` runs the synthesized circuit
-gate by gate and is the reference the rotations are tested against.
+applies each exp(+iαP) of a Trotter sequence as cos α·ψ + i sin α·Pψ, a
+few vector operations per term; ``apply_circuit`` runs the synthesized
+circuit gate by gate and is the reference the rotations are tested
+against. ``apply_dense`` applies a full unitary such as
+``beamsplitter.exact_unitary``; runs do not take it, the tests compare
+against it.
 
 Label convention everywhere: the leftmost character of a bitstring label is
 qubit 0 and the highest-order bit of the amplitude index. Sampling uses
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .pauli import PauliTerm, _columns
+from .pauli import PauliTerm, _action, _parity
 
 NORM_TOL = 1e-10
 MAX_GATE_QUBITS = 24
@@ -131,29 +134,39 @@ def apply_rotations(
 
     Given ``circuit.trotter_sequence``, this is the unitary
     ``circuit.synthesize`` compiles. Since P² = I, exp(iαP)ψ = cos α·ψ +
-    i sin α·Pψ, and (Pψ)[j] = value[j ⊕ x]·ψ[j ⊕ x]; the gather index and
-    i·value are built once per distinct string.
+    i sin α·Pψ, and (Pψ)[j] = i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. The arrays are
+    keyed by what strings share: a gather index j ⊕ x per x mask and an
+    int8 sign vector per z mask, so memory grows with the distinct masks
+    (q² x masks for the beam splitter at q qubits per mode), not with the
+    number of strings; only the constant i·i^|x&z| is kept per string.
     """
     n = s.n_qubits
     _check_width(n)
-    terms: dict[int, PauliTerm] = {}
+    j = np.arange(2 ** n)
+    parity = _parity(n)
+    rows: dict[int, np.ndarray] = {}
+    signs: dict[int, np.ndarray] = {}
+    gathers: dict[int, tuple[np.ndarray, np.ndarray, complex]] = {}
     for term, _ in sequence:
         if term.width != n:
             raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
-        terms[term.code] = term
-    gathers = {
-        t.code: (rows, 1j * values[rows])
-        for t, rows, values in _columns(terms.values(), n)
-    }
+        if term.code in gathers:
+            continue
+        x, z, phase = _action(term)
+        if x not in rows:
+            rows[x] = j ^ x
+        if z not in signs:
+            signs[z] = parity[z & j]
+        gathers[term.code] = (rows[x], signs[z], 1j * phase)
     psi = s.amplitudes
     for term, angle in sequence:
-        rows, factor = gathers[term.code]
-        psi = math.cos(angle) * psi + math.sin(angle) * factor * psi[rows]
+        gather, sign, phase = gathers[term.code]
+        psi = math.cos(angle) * psi + (math.sin(angle) * phase) * (sign * psi)[gather]
     return StateVector(n, psi)
 
 
 def apply_dense(s: StateVector, m: np.ndarray) -> StateVector:
-    """Apply a unitary matrix directly (the oracle path)."""
+    """Apply a unitary matrix directly (the dense test oracle)."""
     dim = 2 ** s.n_qubits
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match {dim}-dim state")

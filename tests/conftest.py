@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from homsim.gray import FockEncoding, basis_index, ladder, projector
+from homsim.gray import (
+    FockEncoding,
+    annihilation_op,
+    basis_index,
+    creation_op,
+    ladder,
+    projector,
+)
 from homsim.pauli import PauliOp
 
 _SINGLE = {
@@ -57,6 +64,11 @@ def hand_reduced_q2() -> PauliOp:
     t1 = prod4(p0, q1, q0, p1)
     t2 = prod4(q1, p1, p0, q0)
     return (t1 + t1.adjoint() + t2 + t2.adjoint()).scale(math.sqrt(2))
+
+
+def number_op(encoding: FockEncoding) -> PauliOp:
+    """Photon-number operator b†b, diag(0..N) on the encoded Fock basis."""
+    return creation_op(encoding) * annihilation_op(encoding)
 
 
 def dense_creation(enc: FockEncoding) -> np.ndarray:

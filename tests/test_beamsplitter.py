@@ -2,16 +2,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from conftest import dense_beamsplitter, hand_reduced_q2, sector_projector, two_mode_index
+from conftest import (
+    dense_beamsplitter,
+    hand_reduced_q2,
+    number_op,
+    sector_projector,
+    two_mode_index,
+)
 from homsim.beamsplitter import (
     Interaction,
     exact_unitary,
     interaction,
     reduced_interaction,
+    sector_evolution,
 )
-from homsim.gray import FockEncoding, number_op
+from homsim.gray import FockEncoding, gray_bits
 from homsim.pauli import PauliOp
+from homsim.statevector import apply_dense, init_basis
 
 ENC = FockEncoding(2)
 
@@ -128,3 +137,59 @@ class TestExactUnitary:
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ValueError):
             exact_unitary(math.inf, interaction(ENC))
+
+
+@st.composite
+def fock_runs(draw):
+    """qpm 1-4, any representable (n_B, n_A), θ in [-π, π]."""
+    qpm = draw(st.integers(1, 4))
+    capacity = FockEncoding(qpm).capacity
+    fock = (draw(st.integers(0, capacity)), draw(st.integers(0, capacity)))
+    return qpm, fock, draw(st.floats(-math.pi, math.pi))
+
+
+class TestSectorEvolution:
+    @settings(deadline=None)
+    @given(fock_runs())
+    # Sectors cut at capacity 3: N = 4, 5, 6 keep k = 1..3, k = 2..3 and k = 3 only.
+    @example((2, (3, 1), 0.7))
+    @example((2, (3, 2), -2.0))
+    @example((2, (3, 3), 1.1))
+    def test_matches_dense_oracle(self, run):
+        qpm, fock, theta = run
+        enc = FockEncoding(qpm)
+        start = init_basis(2 * qpm, "".join(gray_bits(enc, n) for n in fock))
+        dense = apply_dense(start, exact_unitary(theta, interaction(enc)))
+        got = sector_evolution(enc, fock, theta)
+        np.testing.assert_allclose(got, dense.amplitudes, rtol=0, atol=1e-12)
+
+    def test_two_two_balanced_splitter_closed_form(self):
+        enc = FockEncoding(3)
+        out = sector_evolution(enc, (2, 2), math.pi / 4)
+        p = [abs(out[two_mode_index(enc, k, 4 - k)]) ** 2 for k in range(5)]
+        np.testing.assert_allclose(p, [3 / 8, 0, 1 / 4, 0, 3 / 8], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_odd_outputs_vanish_for_equal_inputs(self, n):
+        enc = FockEncoding(3)
+        out = sector_evolution(enc, (n, n), math.pi / 4)
+        for k in range(1, 2 * n, 2):
+            assert abs(out[two_mode_index(enc, k, 2 * n - k)]) <= 1e-12
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    @pytest.mark.parametrize("fock", [(0, 0), (1, 1), (0, 1), (1, 0)])
+    def test_exactly_zero_outside_the_sector(self, qpm, fock):
+        enc = FockEncoding(qpm)
+        out = sector_evolution(enc, fock, 1.3)
+        inside = np.diag(sector_projector(enc, sum(fock))) == 1
+        assert np.all(out[~inside] == 0)
+        assert np.sum(np.abs(out[inside]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("fock", [(4, 0), (0, -1)])
+    def test_unrepresentable_input_rejected(self, fock):
+        with pytest.raises(ValueError, match="outside"):
+            sector_evolution(ENC, fock, 0.5)
+
+    def test_non_finite_theta_rejected(self):
+        with pytest.raises(ValueError):
+            sector_evolution(ENC, (1, 1), math.nan)

@@ -13,6 +13,7 @@ from homsim.circuit import (
     metrics,
     rotation_circuit,
     synthesize,
+    trotter_circuit,
     trotter_sequence,
 )
 from homsim.gray import FockEncoding
@@ -140,6 +141,12 @@ class TestSynthesize:
         a = synthesize(interaction(ENC), 0.7, 3)
         b = synthesize(interaction(ENC), 0.7, 3)
         assert a == b
+
+    @pytest.mark.parametrize("steps", [0, 5])
+    def test_sequence_must_split_into_steps(self, steps):
+        sequence = trotter_sequence(interaction(ENC), 0.7, 3)
+        with pytest.raises(ValueError, match="do not split"):
+            trotter_circuit(sequence, 4, steps)
 
 
 class TestMetrics:

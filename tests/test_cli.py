@@ -78,6 +78,13 @@ def test_removed_option_is_a_usage_error(args):
     assert "No such option" in result.output and args[1] in result.output
 
 
+@pytest.mark.parametrize("args", [["--steps", "3"], ["--reduced"]], ids=" ".join)
+def test_sweep_theta_circuit_option_needs_circuit(args):
+    result = CliRunner().invoke(main, ["sweep-theta", *args])
+    assert result.exit_code == 2
+    assert f"{args[0]} shapes the circuit; it needs --circuit" in result.output
+
+
 def readme_commands() -> list[list[str]]:
     block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
     return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("hom ")]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homsim import statevector as sv
+from homsim import experiments, statevector as sv
 from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
 from homsim.circuit import synthesize
 from homsim.cli import main
@@ -19,6 +19,7 @@ from homsim.experiments import (
     theta_grid,
 )
 from homsim.gray import FockEncoding, gray_bits
+from homsim.pauli import PauliOp
 
 
 class TestRunHom:
@@ -75,6 +76,38 @@ class TestRunHom:
             list(report.probabilities.values()), sv.probabilities(gates), rtol=0, atol=1e-12
         )
         assert report.fidelity == pytest.approx(sv.fidelity(exact, gates), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "config, hermitian_checks, full_builds",
+        [
+            (ExperimentConfig(exact=True, qubits_per_mode=3), 0, 0),
+            (ExperimentConfig(trotter_steps=4), 1, 1),
+            (ExperimentConfig(trotter_steps=4, reduced=True), 1, 0),
+        ],
+        ids=["exact", "circuit", "reduced"],
+    )
+    def test_operator_work_per_run(self, monkeypatch, config, hermitian_checks, full_builds):
+        # The exact state comes from the photon sector: no dense matrix, and
+        # the full H only for the circuit compiled from it, checked once.
+        calls = {"is_hermitian": 0, "to_matrix": 0, "interaction": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in ("is_hermitian", "to_matrix"):
+            monkeypatch.setattr(PauliOp, name, counted(name, getattr(PauliOp, name)))
+        monkeypatch.setattr(
+            experiments, "interaction", counted("interaction", experiments.interaction)
+        )
+        run_hom(config)
+        assert calls == {
+            "is_hermitian": hermitian_checks,
+            "to_matrix": 0,
+            "interaction": full_builds,
+        }
 
     def test_invalid_steps_rejected(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import number_op
 from homsim.gray import (
     FockEncoding,
     annihilation_op,
@@ -11,7 +12,6 @@ from homsim.gray import (
     gray_bits,
     hop_term,
     ladder,
-    number_op,
     projector,
 )
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -254,3 +255,17 @@ class TestApplyRotations:
         with pytest.raises(ValueError) as gates:
             apply_circuit(s, Circuit(4, (Gate("X", 0),)))
         assert str(fast.value) == str(gates.value)
+
+    def test_memory_does_not_grow_with_string_count(self):
+        # 2,048 strings at 4 qubits per mode share 16 x masks and at most 256 z masks;
+        # one gather per string would peak above 13 MB.
+        inter = interaction(FockEncoding(4))
+        sequence = trotter_sequence(inter, math.pi / 4, 1)
+        start = init_basis(8, "00010001")
+        tracemalloc.start()
+        try:
+            apply_rotations(start, sequence)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
