@@ -41,7 +41,6 @@ from .statevector import (
     StateVector,
     apply_circuit,
     apply_dense,
-    apply_gate,
     circuit_unitary,
     fidelity,
     init_basis,
@@ -63,7 +62,6 @@ __all__ = [
     "annihilation_op",
     "apply_circuit",
     "apply_dense",
-    "apply_gate",
     "basis_index",
     "circuit_report",
     "circuit_unitary",

@@ -5,11 +5,16 @@ term exponentiated with the textbook basis-change / CNOT-ladder / RZ
 construction. Rotation gates use the standard half-angle convention
 (RZ(φ) = exp(-iφZ/2)), so exp(-iαP) is emitted as RZ(2α) inside the
 ladder. Output is deterministic for fixed input, down to the QASM text.
+
+A ``Circuit`` is one Trotter step's gates and a repeat count. Validation,
+gate counts and the QASM text are worked out from the step once; depth
+composes the step's per-qubit delays, so no metric walks the repeats.
 """
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -18,7 +23,7 @@ from .pauli import PauliTerm
 
 logger = logging.getLogger(__name__)
 
-GATE_KINDS = ("X", "H", "RX", "RZ", "CNOT")
+GATE_KINDS = ("H", "RX", "RZ", "CNOT")
 
 
 @dataclass(frozen=True)
@@ -49,15 +54,36 @@ class Gate:
         return (self.target,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Circuit:
+    """``step`` applied ``repeat`` times in a row on a register of ``n_qubits``.
+
+    Two circuits are equal when they run the same gate sequence, however it
+    splits into step and repeats.
+    """
+
     n_qubits: int
-    gates: tuple[Gate, ...]
+    step: tuple[Gate, ...]
+    repeat: int = 1
 
     def __post_init__(self):
-        for g in self.gates:
+        if self.repeat < 1:
+            raise ValueError("repeat must be >= 1")
+        for g in self.step:
             if any(q < 0 or q >= self.n_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} outside register of {self.n_qubits}")
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        """The full gate sequence, every repeat written out."""
+        return self.step * self.repeat
+
+    def __eq__(self, other):
+        same_register = isinstance(other, Circuit) and self.n_qubits == other.n_qubits
+        return same_register and self.gates == other.gates
+
+    def __hash__(self):
+        return hash((self.n_qubits, self.gates))
 
 
 def trotter_sequence(
@@ -132,52 +158,81 @@ def trotter_circuit(
     """Circuit of a ``trotter_sequence`` of ``steps`` identical steps.
 
     rotation_circuit implements exp(-iαP), so each Trotter angle flips sign
-    here to realize the +iθ exponent of the beam splitter. The first step's
-    gates are built once and repeated.
+    here to realize the +iθ exponent of the beam splitter. Only the first
+    step's gates are built; the circuit repeats them ``steps`` times.
     """
     if steps < 1 or len(sequence) % steps:
         raise ValueError(f"{len(sequence)} rotations do not split into {steps} steps")
-    step = [
+    step = tuple(
         g
         for term, angle in sequence[: len(sequence) // steps]
-        for g in rotation_circuit(term.axes, -angle).gates
-    ]
-    return Circuit(n_qubits, tuple(step) * steps)
+        for g in rotation_circuit(term.axes, -angle).step
+    )
+    return Circuit(n_qubits, step, steps)
+
+
+def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
+    """Greedy layering: each gate lands one layer above its qubits' last; in place."""
+    for g in gates:
+        if g.control is None:
+            busy[g.target] += 1
+        else:
+            busy[g.target] = busy[g.control] = 1 + max(busy[g.target], busy[g.control])
+    return busy
+
+
+def _depth(c: Circuit) -> int:
+    """Greedy-layering depth of the full sequence, from walks of one step.
+
+    Layering is max-plus linear in the per-qubit busy vector: a step maps it
+    to busy'[i] = max_j(busy[j] + delay[i][j]) over the qubits j that i
+    depends on. A walk that starts qubit j above any depth one step reaches
+    alone, the rest at 0, reads column j off the qubits that end that high.
+    The n_qubits walks cost more than walking up to n_qubits repeats.
+    """
+    n = c.n_qubits
+    if c.repeat <= n:
+        busy = [0] * n
+        for _ in range(c.repeat):
+            _layer(c.step, busy)
+        return max(busy, default=0)
+    sentinel = len(c.step) + 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j in range(n):
+        start = [0] * n
+        start[j] = sentinel
+        for i, b in enumerate(_layer(c.step, start)):
+            if b >= sentinel:
+                rows[i].append((j, b - sentinel))
+    # Every qubit depends on itself, so no row is empty.
+    busy = [0] * n
+    for _ in range(c.repeat):
+        busy = [max(busy[j] + d for j, d in row) for row in rows]
+    return max(busy, default=0)
 
 
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    busy = [0] * c.n_qubits
-    kind_counts: dict[str, int] = {}
-    for g in c.gates:
-        layer = 1 + max((busy[q] for q in g.qubits), default=0)
-        for q in g.qubits:
-            busy[q] = layer
-        kind_counts[g.kind] = kind_counts.get(g.kind, 0) + 1
+    kind_counts = Counter(g.kind for g in c.step)
     return {
-        "depth": max(busy, default=0),
-        "cx_count": kind_counts.get("CNOT", 0),
-        "gate_counts": dict(sorted(kind_counts.items())),
-        "total_gates": len(c.gates),
+        "depth": _depth(c),
+        "cx_count": kind_counts["CNOT"] * c.repeat,
+        "gate_counts": {k: v * c.repeat for k, v in sorted(kind_counts.items())},
+        "total_gates": len(c.step) * c.repeat,
     }
 
 
 def export_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text; angles at 15 significant digits, byte-stable."""
-    lines = [
-        "OPENQASM 2.0;",
-        'include "qelib1.inc";',
-        f"qreg q[{c.n_qubits}];",
-    ]
-    for g in c.gates:
-        if g.kind == "X":
-            lines.append(f"x q[{g.target}];")
-        elif g.kind == "H":
-            lines.append(f"h q[{g.target}];")
+    lines = []
+    for g in c.step:
+        if g.kind == "H":
+            lines.append(f"h q[{g.target}];\n")
         elif g.kind == "RX":
-            lines.append(f"rx({g.angle:.15g}) q[{g.target}];")
+            lines.append(f"rx({g.angle:.15g}) q[{g.target}];\n")
         elif g.kind == "RZ":
-            lines.append(f"rz({g.angle:.15g}) q[{g.target}];")
+            lines.append(f"rz({g.angle:.15g}) q[{g.target}];\n")
         else:
-            lines.append(f"cx q[{g.control}],q[{g.target}];")
-    return "\n".join(lines) + "\n"
+            lines.append(f"cx q[{g.control}],q[{g.target}];\n")
+    header = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{c.n_qubits}];\n'
+    return header + "".join(lines) * c.repeat

@@ -67,8 +67,6 @@ def init_basis(n_qubits: int, label: str) -> StateVector:
 
 
 def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
-    if kind == "X":
-        return np.array([[0, 1], [1, 0]], dtype=complex)
     if kind == "H":
         return np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
     if kind == "RX":
@@ -108,22 +106,15 @@ def _check_width(n: int) -> None:
         raise ValueError(f"gate path capped at {MAX_GATE_QUBITS} qubits")
 
 
-def apply_gate(s: StateVector, g: Gate) -> StateVector:
-    # A bare gate has no register to have been checked against.
-    _check_width(s.n_qubits)
-    if any(q < 0 or q >= s.n_qubits for q in g.qubits):
-        raise ValueError(f"gate {g} outside register of {s.n_qubits}")
-    return StateVector(s.n_qubits, _apply_gate_raw(s.amplitudes, g, s.n_qubits))
-
-
 def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
     """Gate by gate; ``Circuit`` has already checked every gate against its register."""
     if c.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
     _check_width(c.n_qubits)
     psi = s.amplitudes
-    for g in c.gates:
-        psi = _apply_gate_raw(psi, g, c.n_qubits)
+    for _ in range(c.repeat):
+        for g in c.step:
+            psi = _apply_gate_raw(psi, g, c.n_qubits)
     return StateVector(s.n_qubits, psi)
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homsim.circuit import Circuit, Gate
 from homsim.gray import (
     FockEncoding,
     annihilation_op,
@@ -12,6 +13,7 @@ from homsim.gray import (
     projector,
 )
 from homsim.pauli import PauliOp
+from homsim.statevector import StateVector, apply_circuit
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -98,3 +100,25 @@ def sector_projector(enc: FockEncoding, photons: int) -> np.ndarray:
         if 0 <= n_a <= enc.capacity:
             diag[two_mode_index(enc, n_b, n_a)] = 1.0
     return np.diag(diag)
+
+
+def apply_gate(s: StateVector, g: Gate) -> StateVector:
+    """One gate on a state; its one-gate circuit checks it against the register."""
+    return apply_circuit(s, Circuit(s.n_qubits, (g,)))
+
+
+def layered_metrics(c: Circuit) -> dict:
+    """Reference ``metrics``: greedy layering gate by gate over the written-out sequence."""
+    busy = [0] * c.n_qubits
+    kind_counts: dict[str, int] = {}
+    for g in c.gates:
+        layer = 1 + max((busy[q] for q in g.qubits), default=0)
+        for q in g.qubits:
+            busy[q] = layer
+        kind_counts[g.kind] = kind_counts.get(g.kind, 0) + 1
+    return {
+        "depth": max(busy, default=0),
+        "cx_count": kind_counts.get("CNOT", 0),
+        "gate_counts": dict(sorted(kind_counts.items())),
+        "total_gates": len(c.gates),
+    }

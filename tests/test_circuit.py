@@ -1,10 +1,12 @@
 import hashlib
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import hand_reduced_q2, pauli_exp, phase_fidelity
+from conftest import apply_gate, hand_reduced_q2, layered_metrics, pauli_exp, phase_fidelity
 from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
@@ -18,7 +20,7 @@ from homsim.circuit import (
 )
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
-from homsim.statevector import circuit_unitary
+from homsim.statevector import apply_circuit, circuit_unitary, init_basis
 
 ENC = FockEncoding(2)
 
@@ -34,7 +36,81 @@ class TestGateValidation:
 
     def test_gate_outside_register(self):
         with pytest.raises(ValueError):
-            Circuit(2, (Gate("X", 2),))
+            Circuit(2, (Gate("H", 2),))
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            Gate("X", 0)
+
+    def test_gate_outside_register_in_repeated_step(self):
+        with pytest.raises(ValueError, match="outside register of 2"):
+            Circuit(2, (Gate("H", 0), Gate("CNOT", target=2, control=1)), 5)
+
+    def test_repeat_below_one_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            Circuit(1, (Gate("H", 0),), 0)
+
+
+@st.composite
+def gates(draw, n_qubits):
+    kind = draw(st.sampled_from(["H", "RX", "RZ"] + (["CNOT"] if n_qubits > 1 else [])))
+    target = draw(st.integers(0, n_qubits - 1))
+    if kind == "CNOT":
+        control = draw(st.integers(0, n_qubits - 1).filter(lambda q: q != target))
+        return Gate("CNOT", target=target, control=control)
+    if kind in ("RX", "RZ"):
+        return Gate(kind, target, angle=draw(st.floats(-math.pi, math.pi)))
+    return Gate(kind, target)
+
+
+@st.composite
+def repeated_circuits(draw, max_qubits=6, max_gates=30, max_repeat=70):
+    """1-6 qubits, a step of 0-30 gates, 1-70 repeats."""
+    n = draw(st.integers(1, max_qubits))
+    step = draw(st.lists(gates(n), max_size=max_gates))
+    return Circuit(n, tuple(step), draw(st.integers(1, max_repeat)))
+
+
+class TestRepeatedCircuit:
+    def test_gates_write_out_every_repeat(self):
+        step = (Gate("H", 0), Gate("CNOT", target=1, control=0))
+        assert Circuit(2, step, 3).gates == step * 3
+
+    def test_equal_when_the_gate_sequences_are(self):
+        h = Gate("H", 0)
+        assert Circuit(1, (h, h)) == Circuit(1, (h,), 2)
+        assert hash(Circuit(1, (h, h))) == hash(Circuit(1, (h,), 2))
+        assert Circuit(1, (), 4) == Circuit(1, ())
+        assert Circuit(1, (h,), 2) != Circuit(1, (h,), 3)
+        assert Circuit(1, (h,)) != Circuit(2, (h,))
+
+    @settings(deadline=None)
+    @given(repeated_circuits())
+    def test_metrics_match_gate_by_gate_layering(self, c):
+        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    @pytest.mark.parametrize("reduced", [False, True])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5, 64])
+    def test_synthesized_metrics_match_gate_by_gate_layering(self, qpm, reduced, steps):
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        c = synthesize(inter, 0.7, steps)
+        assert c.repeat == steps
+        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+
+    @settings(deadline=None, max_examples=25)
+    @given(repeated_circuits(max_qubits=4, max_gates=12, max_repeat=8))
+    def test_gate_path_matches_written_out_gates(self, c):
+        start = init_basis(c.n_qubits, "1" * c.n_qubits)
+        fast = apply_circuit(start, c).amplitudes
+        slow = reduce(apply_gate, c.gates, start).amplitudes
+        np.testing.assert_allclose(fast, slow, rtol=0, atol=1e-12)
+
+    def test_qasm_repeats_the_step_text(self):
+        step = (Gate("RX", 1, angle=0.25), Gate("CNOT", target=0, control=1))
+        text = export_qasm(Circuit(2, step, 4))
+        assert text == export_qasm(Circuit(2, step * 4))
 
 
 class TestTrotterSequence:
@@ -151,7 +227,7 @@ class TestSynthesize:
 
 class TestMetrics:
     def test_single_gate(self):
-        m = metrics(Circuit(1, (Gate("X", 0),)))
+        m = metrics(Circuit(1, (Gate("H", 0),)))
         assert m["depth"] == 1 and m["cx_count"] == 0
 
     def test_xy_rotation_has_two_cnots(self):
@@ -186,9 +262,9 @@ class TestMetrics:
 
 
 class TestQasmExport:
-    def test_single_x(self):
-        text = export_qasm(Circuit(1, (Gate("X", 0),)))
-        assert text.count("x q[0];") == 1
+    def test_single_h(self):
+        text = export_qasm(Circuit(1, (Gate("H", 0),)))
+        assert text.count("h q[0];") == 1
 
     def test_empty_circuit_is_header_only(self):
         text = export_qasm(Circuit(3, ()))

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
 from homsim.circuit import synthesize
 from homsim.cli import main
 from homsim.experiments import (
+    MAX_QUBITS_PER_MODE,
     ExperimentConfig,
     ExperimentReport,
     circuit_report,
@@ -131,6 +133,7 @@ class TestRunHom:
             {"seed": -1},
             {"shots": 10.5},
             {"qubits_per_mode": 2.0},
+            {"qubits_per_mode": 7},
             {"theta": "0.5"},
             {"theta": False},
             {"reduced": 1},
@@ -304,6 +307,18 @@ class TestCli:
     def test_invalid_config_exit_code(self):
         result = CliRunner().invoke(main, ["run", "--steps", "0"])
         assert result.exit_code == 2
+
+    def test_qubits_per_mode_capped(self):
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, ["run", "--exact", "--qubits-per-mode", "7"])
+        assert time.perf_counter() - start < 0.5
+        assert result.exit_code == 2
+        assert f"[1, {MAX_QUBITS_PER_MODE}]" in result.output
+        result = CliRunner().invoke(
+            main, ["run", "--exact", "--qubits-per-mode", str(MAX_QUBITS_PER_MODE)]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(json.loads(result.output)["probabilities"]) == 4**MAX_QUBITS_PER_MODE
 
     def test_reduced_run_at_three_qubits_per_mode(self):
         result = CliRunner().invoke(
