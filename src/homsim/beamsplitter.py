@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gray import FockEncoding, annihilation_op, basis_index, creation_op, hop_term
+from .gray import FockEncoding, basis_index, creation_op, hop_term
 from .pauli import PauliOp
 
 
@@ -31,7 +31,7 @@ class Interaction:
 def interaction(encoding: FockEncoding) -> Interaction:
     """Full beam-splitter Hamiltonian b†a + ba†, both modes identically encoded."""
     b_dag = creation_op(encoding)
-    b = annihilation_op(encoding)
+    b = b_dag.adjoint()
     return Interaction(op=b_dag.tensor(b) + b.tensor(b_dag))
 
 

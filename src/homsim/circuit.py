@@ -9,6 +9,10 @@ ladder. Output is deterministic for fixed input, down to the QASM text.
 A ``Circuit`` is one Trotter step's gates and a repeat count. Validation,
 gate counts and the QASM text are worked out from the step once; depth
 composes the step's per-qubit delays, so no metric walks the repeats.
+Within one ``trotter_circuit`` call every angle-free gate (H, RX(±π/2),
+CNOT) is one shared object, so a step holds one fresh gate per term plus
+at most 3n + n(n−1) shared ones, and the QASM text of each distinct gate
+object is formatted once.
 """
 from __future__ import annotations
 
@@ -16,7 +20,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .beamsplitter import Interaction
 from .pauli import PauliTerm
@@ -69,9 +73,11 @@ class Circuit:
     def __post_init__(self):
         if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
+        n = self.n_qubits
         for g in self.step:
-            if any(q < 0 or q >= self.n_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} outside register of {self.n_qubits}")
+            c = g.control
+            if not 0 <= g.target < n or (c is not None and not 0 <= c < n):
+                raise ValueError(f"gate {g} outside register of {n}")
 
     @property
     def gates(self) -> tuple[Gate, ...]:
@@ -107,42 +113,45 @@ def trotter_sequence(
 
 
 def rotation_circuit(axes: str, alpha: float) -> Circuit:
-    """Circuit for exp(-i·alpha·P), P the Pauli string ``axes``.
+    """Circuit for exp(-i·alpha·P), P the Pauli string ``axes``."""
+    return Circuit(len(axes), tuple(_rotation_gates(axes, alpha, Gate)))
+
+
+def _rotation_gates(axes: str, alpha: float, gate: Callable[..., Gate]) -> list[Gate]:
+    """Gates of exp(-i·alpha·P), P the Pauli string ``axes``.
 
     Basis changes map every active qubit to Z, a CNOT ladder chains the
     active qubits in ascending index (identity qubits skipped), RZ(2α)
-    lands on the last active qubit, then everything mirrors back.
+    lands on the last active qubit, then everything mirrors back. ``gate``
+    builds the angle-free H, CNOT and RX(±π/2) gates from Gate's positional
+    arguments; only the RZ(2α) (or lone RX(2α)) is built here.
     """
-    n = len(axes)
     active = [q for q, a in enumerate(axes) if a != "I"]
     if not active:
         raise ValueError("all-identity string has no rotation circuit")
 
     if len(active) == 1 and axes[active[0]] == "X":
-        return Circuit(n, (Gate("RX", active[0], angle=2 * alpha),))
+        return [Gate("RX", active[0], angle=2 * alpha)]
 
     pre: list[Gate] = []
     post: list[Gate] = []
     for q in active:
         a = axes[q]
         if a == "X":
-            pre.append(Gate("H", q))
-            post.append(Gate("H", q))
+            pre.append(gate("H", q))
+            post.append(gate("H", q))
         elif a == "Y":
-            pre.append(Gate("RX", q, angle=math.pi / 2))
-            post.append(Gate("RX", q, angle=-math.pi / 2))
+            pre.append(gate("RX", q, None, math.pi / 2))
+            post.append(gate("RX", q, None, -math.pi / 2))
 
-    ladder = [
-        Gate("CNOT", target=b, control=a) for a, b in zip(active, active[1:])
-    ]
-    gates = (
+    ladder = [gate("CNOT", b, a) for a, b in zip(active, active[1:])]
+    return (
         pre
         + ladder
         + [Gate("RZ", active[-1], angle=2 * alpha)]
         + ladder[::-1]
         + post[::-1]
     )
-    return Circuit(n, tuple(gates))
 
 
 def synthesize(inter: Interaction, theta: float, steps: int) -> Circuit:
@@ -157,18 +166,27 @@ def trotter_circuit(
 ) -> Circuit:
     """Circuit of a ``trotter_sequence`` of ``steps`` identical steps.
 
-    rotation_circuit implements exp(-iαP), so each Trotter angle flips sign
+    The rotations implement exp(-iαP), so each Trotter angle flips sign
     here to realize the +iθ exponent of the beam splitter. Only the first
-    step's gates are built; the circuit repeats them ``steps`` times.
+    step's gates are built; the circuit repeats them ``steps`` times. Each
+    angle-free gate is built once per call and shared by every term that
+    uses it: at most 3n + n(n−1) of them (H and RX(±π/2) per qubit, CNOT
+    per ordered pair).
     """
     if steps < 1 or len(sequence) % steps:
         raise ValueError(f"{len(sequence)} rotations do not split into {steps} steps")
-    step = tuple(
-        g
-        for term, angle in sequence[: len(sequence) // steps]
-        for g in rotation_circuit(term.axes, -angle).step
-    )
-    return Circuit(n_qubits, step, steps)
+    shared: dict[tuple, Gate] = {}
+
+    def gate(*args) -> Gate:
+        g = shared.get(args)
+        if g is None:
+            g = shared[args] = Gate(*args)
+        return g
+
+    step: list[Gate] = []
+    for term, angle in sequence[: len(sequence) // steps]:
+        step += _rotation_gates(term.axes, -angle, gate)
+    return Circuit(n_qubits, tuple(step), steps)
 
 
 def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
@@ -223,16 +241,27 @@ def metrics(c: Circuit) -> dict:
 
 
 def export_qasm(c: Circuit) -> str:
-    """OpenQASM 2.0 text; angles at 15 significant digits, byte-stable."""
+    """OpenQASM 2.0 text; angles at 15 significant digits, byte-stable.
+
+    Each distinct gate object of the step is formatted once; a shared gate's
+    text is reused for every slot it fills.
+    """
+    text: dict[int, str] = {}
     lines = []
     for g in c.step:
-        if g.kind == "H":
-            lines.append(f"h q[{g.target}];\n")
-        elif g.kind == "RX":
-            lines.append(f"rx({g.angle:.15g}) q[{g.target}];\n")
-        elif g.kind == "RZ":
-            lines.append(f"rz({g.angle:.15g}) q[{g.target}];\n")
-        else:
-            lines.append(f"cx q[{g.control}],q[{g.target}];\n")
+        line = text.get(id(g))
+        if line is None:
+            line = text[id(g)] = _qasm_line(g)
+        lines.append(line)
     header = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{c.n_qubits}];\n'
     return header + "".join(lines) * c.repeat
+
+
+def _qasm_line(g: Gate) -> str:
+    if g.kind == "H":
+        return f"h q[{g.target}];\n"
+    if g.kind == "RX":
+        return f"rx({g.angle:.15g}) q[{g.target}];\n"
+    if g.kind == "RZ":
+        return f"rz({g.angle:.15g}) q[{g.target}];\n"
+    return f"cx q[{g.control}],q[{g.target}];\n"

@@ -34,7 +34,8 @@ from .gray import FockEncoding, gray_bits
 INPUT_FOCK = (1, 1)
 PHOTONS = sum(INPUT_FOCK)
 
-# The widest register whose circuit run is measured (5.6 s, 178 MB peak RSS).
+# The widest register whose circuit run is measured: 6.3-6.7 s and 121 MB peak
+# RSS on a shared 2-core host.
 MAX_QUBITS_PER_MODE = 6
 
 # Declared config field type (a string under postponed annotations) ->

@@ -9,10 +9,11 @@ from homsim.gray import (
     annihilation_op,
     basis_index,
     creation_op,
+    gray_bits,
     ladder,
     projector,
 )
-from homsim.pauli import PauliOp
+from homsim.pauli import PauliOp, PauliTerm
 from homsim.statevector import StateVector, apply_circuit
 
 _SINGLE = {
@@ -32,6 +33,57 @@ def kron_matrix(op: PauliOp) -> np.ndarray:
             m = np.kron(m, _SINGLE[a])
         out += t.coeff * m
     return out
+
+
+# Pauli-sum algebra written out term by term through the public PauliOp
+# constructor: every product is a PauliTerm, collected and simplified once.
+# The oracle for the operators' own tensor, +, adjoint and scale.
+
+
+def listed_tensor(a: PauliOp, b: PauliOp) -> PauliOp:
+    width = a.width + b.width
+    return PauliOp(
+        [
+            PauliTerm(s.coeff * t.coeff, s.code << 2 * b.width | t.code, width)
+            for s in a.terms
+            for t in b.terms
+        ],
+        width=width,
+    )
+
+
+def listed_sum(a: PauliOp, b: PauliOp) -> PauliOp:
+    return PauliOp(a.terms + b.terms, width=a.width)
+
+
+def listed_adjoint(a: PauliOp) -> PauliOp:
+    return PauliOp(
+        [PauliTerm(t.coeff.conjugate(), t.code, t.width) for t in a.terms], width=a.width
+    )
+
+
+def listed_scale(a: PauliOp, c: complex) -> PauliOp:
+    return PauliOp([PauliTerm(t.coeff * c, t.code, t.width) for t in a.terms], width=a.width)
+
+
+def listed_creation(enc: FockEncoding) -> PauliOp:
+    """Σ √n·hop(n) with each hop the tensor of its Gray-bit ladders and projectors."""
+    out = PauliOp.zero(enc.qubits_per_mode)
+    for n in range(1, enc.capacity + 1):
+        src, dst = gray_bits(enc, n - 1), gray_bits(enc, n)
+        factors = [
+            ladder(int(d)) if s != d else projector(int(d)) for s, d in zip(src, dst)
+        ]
+        hop = factors[0]
+        for f in factors[1:]:
+            hop = listed_tensor(hop, f)
+        out = listed_sum(out, listed_scale(hop, math.sqrt(n)))
+    return out
+
+
+def exact_terms(op: PauliOp) -> str:
+    """Width, codes and coefficient reprs: a −0.0 or a dropped term shows."""
+    return repr((op.width, [(t.code, repr(t.coeff), t.width) for t in op.terms]))
 
 
 def pauli_exp(axes: str, alpha: float) -> np.ndarray:

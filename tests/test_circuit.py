@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -37,6 +38,25 @@ class TestGateValidation:
     def test_gate_outside_register(self):
         with pytest.raises(ValueError):
             Circuit(2, (Gate("H", 2),))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate("H", -1),
+            Gate("CNOT", target=0, control=2),
+            Gate("CNOT", target=-1, control=0),
+            Gate("CNOT", target=1, control=-1),
+        ],
+        ids=["negative-target", "control-too-high", "cnot-negative-target", "negative-control"],
+    )
+    def test_control_or_negative_qubit_outside_register(self, gate):
+        with pytest.raises(ValueError, match="outside register of 2"):
+            Circuit(2, (Gate("H", 0), gate))
+
+    def test_term_wider_than_register_rejected(self):
+        sequence = [(PauliTerm.from_label(1.0, "ZIZ"), 0.3)]
+        with pytest.raises(ValueError, match="outside register of 2"):
+            trotter_circuit(sequence, 2, 1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
@@ -223,6 +243,43 @@ class TestSynthesize:
         sequence = trotter_sequence(interaction(ENC), 0.7, 3)
         with pytest.raises(ValueError, match="do not split"):
             trotter_circuit(sequence, 4, steps)
+
+
+class TestSharedGates:
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_step_equals_the_rotation_circuits(self, qpm, reduced):
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        sequence = trotter_sequence(inter, 0.7, 1)
+        unshared = tuple(
+            g for term, angle in sequence for g in rotation_circuit(term.axes, -angle).step
+        )
+        assert synthesize(inter, 0.7, 1).step == unshared
+
+    @pytest.mark.parametrize("qpm", [3, 4])
+    def test_one_fresh_gate_per_term(self, qpm):
+        inter = interaction(FockEncoding(qpm))
+        c = synthesize(inter, 0.7, 1)
+        n = c.n_qubits
+        shared_bound = 3 * n + n * (n - 1)  # H, RX(±π/2) per qubit; CNOT per ordered pair
+        assert len({id(g) for g in c.step}) <= len(inter.op) + shared_bound
+
+    def test_synthesis_memory(self):
+        # tracemalloc peak of a 1-step qpm=4 synthesize (26,624 gates): 2.39 MB
+        # with a fresh Gate per slot, 0.60 MB with the angle-free gates shared.
+        inter = interaction(FockEncoding(4))
+        tracemalloc.start()
+        try:
+            synthesize(inter, math.pi / 4, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_200_000
+
+    def test_five_qubits_per_mode_metrics(self):
+        m = metrics(synthesize(interaction(FockEncoding(5)), math.pi / 4, 1))
+        assert (m["cx_count"], m["depth"], m["total_gates"]) == (128_000, 159_007, 192_000)
 
 
 class TestMetrics:

@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import kron_matrix
+from conftest import (
+    exact_terms,
+    kron_matrix,
+    listed_adjoint,
+    listed_creation,
+    listed_scale,
+    listed_sum,
+    listed_tensor,
+)
+from homsim.beamsplitter import interaction
+from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
 
 
@@ -190,3 +200,62 @@ class TestDenseCorrespondence:
         for a in (*pair, pair[0] * pair[1], pair[0].tensor(pair[1])):
             axes = [t.axes for t in a.terms]
             assert axes == sorted(axes)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two operators of one width, the second often undoing some of the first."""
+    width = draw(st.integers(1, 5))
+    a = draw(operators(width))
+    extra = draw(operators(width))
+    b = draw(
+        st.sampled_from(
+            [extra, a.scale(-1), PauliOp(a.scale(-1).terms[:2] + extra.terms, width=width)]
+        )
+    )
+    return a, b
+
+
+class TestDictBuiltAlgebra:
+    """Each operation equals the same products listed through ``PauliOp([...])``."""
+
+    @given(cancelling_pairs(), coeffs | st.sampled_from([-0.0, 1e-13, -1 + 0j, -0.5 - 0j]))
+    def test_sum_adjoint_scale(self, pair, c):
+        a, b = pair
+        assert exact_terms(a + b) == exact_terms(listed_sum(a, b))
+        assert exact_terms(a - b) == exact_terms(listed_sum(a, listed_scale(b, -1)))
+        for x in (a, a * b, a.tensor(b)):  # products carry ±0.0 imaginary parts
+            assert exact_terms(x.adjoint()) == exact_terms(listed_adjoint(x))
+            assert exact_terms(x.scale(c)) == exact_terms(listed_scale(x, c))
+
+    @given(op_pairs(), op_pairs())
+    def test_tensor(self, left, right):
+        for a in left:
+            for b in right:
+                assert exact_terms(a.tensor(b)) == exact_terms(listed_tensor(a, b))
+
+    @given(cancelling_pairs())
+    def test_tensor_sums_that_cancel(self, pair):
+        a, b = pair
+        ab = a.tensor(b) + b.tensor(a)
+        assert exact_terms(ab) == exact_terms(
+            listed_sum(listed_tensor(a, b), listed_tensor(b, a))
+        )
+
+    def test_sums_start_from_zero(self):
+        # Each sum is 0 + c₁ + …, so a lone −0.0 part comes out as +0.0.
+        (t,) = PauliOp([PauliTerm(complex(-1.0, -0.0), 1, 1)]).terms
+        assert repr(t.coeff) == "(-1+0j)"
+        assert repr(op("Y", 1j).tensor(op("Y", 1j)).adjoint().terms[0].coeff) == "(-1+0j)"
+
+    def test_cancelled_sum_is_empty(self):
+        a = op("XY", 0.5) + op("ZZ", -0.5j)
+        assert (a + a.scale(-1)).terms == ()
+        assert (a - a).width == 2
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4, 5])
+    def test_interaction(self, qpm):
+        b_dag = listed_creation(FockEncoding(qpm))
+        b = listed_adjoint(b_dag)
+        expected = listed_sum(listed_tensor(b_dag, b), listed_tensor(b, b_dag))
+        assert exact_terms(interaction(FockEncoding(qpm)).op) == exact_terms(expected)
