@@ -29,10 +29,10 @@ class Interaction:
 
 
 def interaction(encoding: FockEncoding) -> Interaction:
-    """Full beam-splitter Hamiltonian b†a + ba†, both modes identically encoded."""
+    """Full beam-splitter Hamiltonian T + T†, T = b†a; both modes identically encoded."""
     b_dag = creation_op(encoding)
-    b = b_dag.adjoint()
-    return Interaction(op=b_dag.tensor(b) + b.tensor(b_dag))
+    t = b_dag.tensor(b_dag.adjoint())
+    return Interaction(op=t + t.adjoint())
 
 
 def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:

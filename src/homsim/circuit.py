@@ -6,9 +6,10 @@ construction. Rotation gates use the standard half-angle convention
 (RZ(φ) = exp(-iφZ/2)), so exp(-iαP) is emitted as RZ(2α) inside the
 ladder. Output is deterministic for fixed input, down to the QASM text.
 
-A ``Circuit`` is one Trotter step's gates and a repeat count. Validation,
-gate counts and the QASM text are worked out from the step once; depth
-composes the step's per-qubit delays, so no metric walks the repeats.
+``trotter_sequence`` returns one Trotter step, and a ``Circuit`` is that
+step's gates and a repeat count. Validation, gate counts and the QASM text
+are worked out from the step once; depth composes the step's per-qubit
+delays, so no metric walks the repeats.
 Within one ``trotter_circuit`` call every angle-free gate (H, RX(±π/2),
 CNOT) is one shared object, so a step holds one fresh gate per term plus
 at most 3n + n(n−1) shared ones, and the QASM text of each distinct gate
@@ -95,7 +96,7 @@ class Circuit:
 def trotter_sequence(
     inter: Interaction, theta: float, steps: int
 ) -> list[tuple[PauliTerm, float]]:
-    """First-order product formula: (term, θ·coeff/steps) pairs, repeated per step.
+    """One step of the first-order product formula: (term, θ·coeff/steps) pairs.
 
     Pure-identity terms only contribute global phase and are skipped.
     """
@@ -103,13 +104,13 @@ def trotter_sequence(
         raise ValueError("steps must be >= 1")
     if not inter.op.is_hermitian():
         raise ValueError("interaction must be Hermitian")
-    per_step = []
+    step = []
     for term in inter.op.terms:
         if term.code == 0:
             logger.info("skipping identity term (global phase only): %s", term)
             continue
-        per_step.append((term, theta * term.coeff.real / steps))
-    return per_step * steps
+        step.append((term, theta * term.coeff.real / steps))
+    return step
 
 
 def rotation_circuit(axes: str, alpha: float) -> Circuit:
@@ -162,19 +163,16 @@ def synthesize(inter: Interaction, theta: float, steps: int) -> Circuit:
 
 
 def trotter_circuit(
-    sequence: Sequence[tuple[PauliTerm, float]], n_qubits: int, steps: int
+    step: Sequence[tuple[PauliTerm, float]], n_qubits: int, steps: int
 ) -> Circuit:
-    """Circuit of a ``trotter_sequence`` of ``steps`` identical steps.
+    """Circuit of a ``trotter_sequence`` step, repeated ``steps`` times.
 
     The rotations implement exp(-iαP), so each Trotter angle flips sign
-    here to realize the +iθ exponent of the beam splitter. Only the first
-    step's gates are built; the circuit repeats them ``steps`` times. Each
-    angle-free gate is built once per call and shared by every term that
-    uses it: at most 3n + n(n−1) of them (H and RX(±π/2) per qubit, CNOT
-    per ordered pair).
+    here to realize the +iθ exponent of the beam splitter. Each angle-free
+    gate is built once per call and shared by every term that uses it: at
+    most 3n + n(n−1) of them (H and RX(±π/2) per qubit, CNOT per ordered
+    pair).
     """
-    if steps < 1 or len(sequence) % steps:
-        raise ValueError(f"{len(sequence)} rotations do not split into {steps} steps")
     shared: dict[tuple, Gate] = {}
 
     def gate(*args) -> Gate:
@@ -183,10 +181,10 @@ def trotter_circuit(
             g = shared[args] = Gate(*args)
         return g
 
-    step: list[Gate] = []
-    for term, angle in sequence[: len(sequence) // steps]:
-        step += _rotation_gates(term.axes, -angle, gate)
-    return Circuit(n_qubits, tuple(step), steps)
+    gates: list[Gate] = []
+    for term, angle in step:
+        gates += _rotation_gates(term.axes, -angle, gate)
+    return Circuit(n_qubits, tuple(gates), steps)
 
 
 def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:

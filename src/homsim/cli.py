@@ -5,7 +5,8 @@ only the config options it reads; the ExperimentConfig fields it does not
 take keep their defaults. Results go to stdout unless --out is given; a
 directory --out gets an auto-generated filename embedding the config hash.
 Exit codes: 0 success, 2 invalid config or usage (an option the command
-does not take included), 3 internal invariant violation.
+does not take included) or an output that cannot be written, 3 internal
+invariant violation.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import sys
 from pathlib import Path
 
 import click
-from click.core import ParameterSource
 
 from .experiments import (
     ExperimentConfig,
@@ -39,7 +39,7 @@ def _guarded(f):
     def wrapper(*args, **kwargs):
         try:
             return f(*args, **kwargs)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_INVALID_CONFIG)
         except NormDriftError as exc:
@@ -138,16 +138,12 @@ def sweep_trotter_cmd(steps_list, out, fmt, **kwargs):
 @click.option("--out", type=click.Path(), default=None)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
               show_default=True)
-@click.pass_context
 @_guarded
-def sweep_theta_cmd(ctx, points, use_circuit, out, fmt, **kwargs):
+def sweep_theta_cmd(points, use_circuit, out, fmt, **kwargs):
     """Coincidence probability across splitter angles.
 
     --steps and --reduced shape the circuit, so they need --circuit.
     """
-    for name, flag in (("trotter_steps", "--steps"), ("reduced", "--reduced")):
-        if not use_circuit and ctx.get_parameter_source(name) != ParameterSource.DEFAULT:
-            raise click.UsageError(f"{flag} shapes the circuit; it needs --circuit")
     config = ExperimentConfig(**kwargs)
     rows = sweep_theta(config, theta_grid(points), use_circuit=use_circuit)
     _rows_out(rows, fmt, out, f"hom-sweep-theta-{config.hash()}")

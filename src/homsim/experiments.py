@@ -7,13 +7,14 @@ exact evolution is computed on the input's photon sector
 (``beamsplitter.sector_evolution``), a matrix of at most N+1 rows, so no
 run builds a dense operator. A circuit run evolves the state by the
 product of Pauli rotations the circuit compiles
-(``statevector.apply_rotations``); the one Trotter sequence feeds both that
-pass and the circuit whose metrics the report carries, and the tests
-cross-check it against running the circuit gate by gate. The circuit is
-compiled from the full beam-splitter H, or with ``reduced`` from H
+(``statevector.apply_rotations``); the one Trotter step and its count feed
+both that pass and the circuit whose metrics the report carries, and the
+tests cross-check it against running the circuit gate by gate. The circuit
+is compiled from the full beam-splitter H, or with ``reduced`` from H
 projected onto the input's 2-photon sector, at any number of qubits per
-mode. Defaults reproduce the reference setup: 2 qubits per mode, a 1:1
-splitter (θ = π/4), 10,000 shots.
+mode; the step count and ``reduced`` only shape the circuit, so an exact
+config refuses them. Defaults reproduce the reference setup: 2 qubits per
+mode, a 1:1 splitter (θ = π/4), 10,000 shots.
 """
 from __future__ import annotations
 
@@ -70,6 +71,8 @@ class ExperimentConfig:
             raise ValueError(f"qubits_per_mode must be in [1, {MAX_QUBITS_PER_MODE}]")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
+        if self.exact and (self.reduced or self.trotter_steps != 1):
+            raise ValueError("steps and reduced shape the circuit; an exact run takes neither")
 
     def hash(self) -> str:
         payload = json.dumps(asdict(self), sort_keys=True)
@@ -177,11 +180,10 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
             inter = reduced_interaction(encoding, PHOTONS)
         else:
             inter = interaction(encoding)
-        sequence = circ.trotter_sequence(inter, config.theta, config.trotter_steps)
+        step = circ.trotter_sequence(inter, config.theta, config.trotter_steps)
         initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
-        out = sv.apply_rotations(initial, sequence)
-        bs_circuit = circ.trotter_circuit(sequence, n, config.trotter_steps)
-        metrics_out = circ.metrics(bs_circuit)
+        out = sv.apply_rotations(initial, step, config.trotter_steps)
+        metrics_out = circ.metrics(circ.trotter_circuit(step, n, config.trotter_steps))
 
     probs = sv.probabilities(out)
     prob_map = {

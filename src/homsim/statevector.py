@@ -1,10 +1,10 @@
 """Dense statevector execution, test-oracle matrix application, and seeded sampling.
 
 Two ways to evolve a state by a Trotterized Hamiltonian: ``apply_rotations``
-applies each exp(+iαP) of a Trotter sequence as cos α·ψ + i sin α·Pψ, a
-few vector operations per term; ``apply_circuit`` runs the synthesized
-circuit gate by gate and is the reference the rotations are tested
-against. ``apply_dense`` applies a full unitary such as
+applies each exp(+iαP) of one Trotter step as cos α·ψ + i sin α·Pψ, a few
+vector operations per term, and repeats the step; ``apply_circuit`` runs
+the synthesized circuit gate by gate and is the reference the rotations
+are tested against. ``apply_dense`` applies a full unitary such as
 ``beamsplitter.exact_unitary``; runs do not take it, the tests compare
 against it.
 
@@ -119,18 +119,20 @@ def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
 
 
 def apply_rotations(
-    s: StateVector, sequence: Sequence[tuple[PauliTerm, float]]
+    s: StateVector, step: Sequence[tuple[PauliTerm, float]], repeat: int = 1
 ) -> StateVector:
-    """exp(+i·angle·P) for each (term, angle) pair in order.
+    """exp(+i·angle·P) for each (term, angle) pair in order, ``repeat`` times.
 
-    Given ``circuit.trotter_sequence``, this is the unitary
-    ``circuit.synthesize`` compiles. Since P² = I, exp(iαP)ψ = cos α·ψ +
-    i sin α·Pψ, and (Pψ)[j] = i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. The arrays are
+    Given a ``circuit.trotter_sequence`` step and its count, this is the
+    unitary ``circuit.synthesize`` compiles. Since P² = I, exp(iαP)ψ = cos α·ψ
+    + i sin α·Pψ, and (Pψ)[j] = i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. The arrays are
     keyed by what strings share: a gather index j ⊕ x per x mask and an
     int8 sign vector per z mask, so memory grows with the distinct masks
     (q² x masks for the beam splitter at q qubits per mode), not with the
     number of strings; only the constant i·i^|x&z| is kept per string.
     """
+    if repeat < 1:
+        raise ValueError("repeat must be >= 1")
     n = s.n_qubits
     _check_width(n)
     j = np.arange(2 ** n)
@@ -138,7 +140,7 @@ def apply_rotations(
     rows: dict[int, np.ndarray] = {}
     signs: dict[int, np.ndarray] = {}
     gathers: dict[int, tuple[np.ndarray, np.ndarray, complex]] = {}
-    for term, _ in sequence:
+    for term, _ in step:
         if term.width != n:
             raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
         if term.code in gathers:
@@ -150,9 +152,10 @@ def apply_rotations(
             signs[z] = parity[z & j]
         gathers[term.code] = (rows[x], signs[z], 1j * phase)
     psi = s.amplitudes
-    for term, angle in sequence:
-        gather, sign, phase = gathers[term.code]
-        psi = math.cos(angle) * psi + (math.sin(angle) * phase) * (sign * psi)[gather]
+    for _ in range(repeat):
+        for term, angle in step:
+            gather, sign, phase = gathers[term.code]
+            psi = math.cos(angle) * psi + (math.sin(angle) * phase) * (sign * psi)[gather]
     return StateVector(n, psi)
 
 

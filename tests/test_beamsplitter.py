@@ -11,6 +11,7 @@ from conftest import (
     sector_projector,
     two_mode_index,
 )
+from homsim import beamsplitter
 from homsim.beamsplitter import (
     Interaction,
     exact_unitary,
@@ -18,7 +19,7 @@ from homsim.beamsplitter import (
     reduced_interaction,
     sector_evolution,
 )
-from homsim.gray import FockEncoding, gray_bits
+from homsim.gray import FockEncoding, creation_op, gray_bits
 from homsim.pauli import PauliOp
 from homsim.statevector import apply_dense, init_basis
 
@@ -49,6 +50,24 @@ class TestInteraction:
         ident = PauliOp.from_label("II")
         n_total = (n_mode.tensor(ident) + ident.tensor(n_mode)).to_matrix()
         np.testing.assert_allclose(h @ n_total - n_total @ h, 0, atol=1e-12)
+
+    def test_one_tensor_product_per_build(self, monkeypatch):
+        # H = T + T† with T = b†⊗b: the second half is T's adjoint, not a
+        # second 2×-sized product (25,600 terms at 5 qubits per mode). b† is
+        # built beforehand, so only the products of interaction are counted.
+        enc = FockEncoding(3)
+        b_dag = creation_op(enc)
+        calls = []
+        tensor = PauliOp.tensor
+
+        def counted(self, other):
+            calls.append(other)
+            return tensor(self, other)
+
+        monkeypatch.setattr(beamsplitter, "creation_op", lambda _: b_dag)
+        monkeypatch.setattr(PauliOp, "tensor", counted)
+        interaction(enc)
+        assert len(calls) == 1
 
 
 class TestReducedInteraction:

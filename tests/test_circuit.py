@@ -139,10 +139,13 @@ class TestTrotterSequence:
         seq = trotter_sequence(h, theta=0.5, steps=1)
         assert seq == [(PauliTerm.from_label(0.7 + 0j, "XX"), 0.5 * 0.7)]
 
-    def test_entry_count_scales_with_steps(self):
+    @pytest.mark.parametrize("steps", [2, 5, 64])
+    def test_one_step_whose_angles_scale_as_one_over_steps(self, steps):
         inter = interaction(ENC)
-        k = len(trotter_sequence(inter, 1.0, 1))
-        assert len(trotter_sequence(inter, 1.0, 5)) == 5 * k
+        one = trotter_sequence(inter, 1.0, 1)
+        step = trotter_sequence(inter, 1.0, steps)
+        assert [t for t, _ in step] == [t for t, _ in one]
+        assert [a for _, a in step] == [t.coeff.real / steps for t, _ in one]
 
     def test_identity_terms_skipped(self):
         h = Interaction(op=PauliOp.from_label("II", 2.0) + PauliOp.from_label("ZZ", 1.0))
@@ -162,9 +165,10 @@ class TestTrotterSequence:
         exact = exact_unitary(theta, inter)
         errors = {}
         for steps in (4, 8):
-            u = np.eye(16, dtype=complex)
+            u_step = np.eye(16, dtype=complex)
             for term, angle in trotter_sequence(inter, theta, steps):
-                u = pauli_exp(term.axes, -angle) @ u
+                u_step = pauli_exp(term.axes, -angle) @ u_step
+            u = np.linalg.matrix_power(u_step, steps)
             errors[steps] = np.max(np.abs(u - exact))
         assert 0.3 < errors[8] / errors[4] < 0.7
 
@@ -238,11 +242,10 @@ class TestSynthesize:
         b = synthesize(interaction(ENC), 0.7, 3)
         assert a == b
 
-    @pytest.mark.parametrize("steps", [0, 5])
-    def test_sequence_must_split_into_steps(self, steps):
-        sequence = trotter_sequence(interaction(ENC), 0.7, 3)
-        with pytest.raises(ValueError, match="do not split"):
-            trotter_circuit(sequence, 4, steps)
+    def test_zero_steps_rejected_by_the_circuit(self):
+        step = trotter_sequence(interaction(ENC), 0.7, 3)
+        with pytest.raises(ValueError, match="repeat must be >= 1"):
+            trotter_circuit(step, 4, 0)
 
 
 class TestSharedGates:

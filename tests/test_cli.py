@@ -78,11 +78,21 @@ def test_removed_option_is_a_usage_error(args):
     assert "No such option" in result.output and args[1] in result.output
 
 
+CIRCUIT_ONLY = "steps and reduced shape the circuit; an exact run takes neither"
+
+
 @pytest.mark.parametrize("args", [["--steps", "3"], ["--reduced"]], ids=" ".join)
 def test_sweep_theta_circuit_option_needs_circuit(args):
     result = CliRunner().invoke(main, ["sweep-theta", *args])
     assert result.exit_code == 2
-    assert f"{args[0]} shapes the circuit; it needs --circuit" in result.output
+    assert CIRCUIT_ONLY in result.output
+
+
+@pytest.mark.parametrize("args", [["--steps", "8"], ["--reduced"]], ids=" ".join)
+def test_exact_run_refuses_circuit_options(args):
+    result = CliRunner().invoke(main, ["run", "--exact", *args])
+    assert result.exit_code == 2
+    assert CIRCUIT_ONLY in result.output
 
 
 def readme_commands() -> list[list[str]]:

@@ -139,6 +139,8 @@ class TestRunHom:
             {"reduced": 1},
             {"exact": None},
             {"unknown_key": 1},
+            {"trotter_steps": 2},
+            {"reduced": True},
         ],
     )
     def test_mistyped_config_rejected(self, bad):
@@ -262,7 +264,7 @@ class TestSweepTheta:
             report = run_hom(ExperimentConfig(theta=theta, trotter_steps=2))
             assert report.metrics is not None
             assert row["p_0101"] == report.probabilities["0101"]
-        exact = sweep_theta(config, grid)
+        exact = sweep_theta(ExperimentConfig(), grid)
         assert max(abs(a["p_0101"] - b["p_0101"]) for a, b in zip(rows, exact)) > 0.01
 
 
@@ -303,6 +305,19 @@ class TestCli:
         result = CliRunner().invoke(main, ["run", "--exact", "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["config"]["exact"] is True
+
+    def test_unwritable_out_exit_code(self, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = CliRunner().invoke(main, ["run", "--exact", "--out", str(out)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and str(out) in result.output
+
+    def test_qasm_out_onto_a_file_exit_code(self, tmp_path):
+        existing = tmp_path / "qasm"
+        existing.write_text("")
+        result = CliRunner().invoke(main, ["circuit-report", "--qasm-out", str(existing)])
+        assert result.exit_code == 2
+        assert result.output.startswith("error: ") and str(existing) in result.output
 
     def test_invalid_config_exit_code(self):
         result = CliRunner().invoke(main, ["run", "--steps", "0"])

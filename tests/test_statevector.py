@@ -234,7 +234,7 @@ class TestApplyRotations:
     def test_matches_gate_path(self, run):
         # RZ(2α) and RX(2α) are exactly exp(-iαZ) and exp(-iαX): no phase to remove.
         inter, theta, steps, start = run
-        fast = apply_rotations(start, trotter_sequence(inter, theta, steps))
+        fast = apply_rotations(start, trotter_sequence(inter, theta, steps), steps)
         gates = apply_circuit(start, synthesize(inter, theta, steps))
         np.testing.assert_allclose(fast.amplitudes, gates.amplitudes, rtol=0, atol=1e-12)
 
@@ -242,6 +242,11 @@ class TestApplyRotations:
         term = PauliTerm.from_label(1.0, "XYZ")
         with pytest.raises(ValueError, match="does not fit a register of 2"):
             apply_rotations(init_basis(2, "00"), [(term, 0.1)])
+
+    def test_repeat_below_one_rejected(self):
+        step = [(PauliTerm.from_label(1.0, "XY"), 0.1)]
+        with pytest.raises(ValueError, match="repeat must be >= 1"):
+            apply_rotations(init_basis(2, "00"), step, 0)
 
     def test_width_cap_matches_gate_path(self, monkeypatch):
         monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
