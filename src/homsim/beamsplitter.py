@@ -2,13 +2,14 @@
 
 The register holds two modes with the same encoding: mode B on qubits
 0..N_q-1 (left half of every state label), mode A on qubits N_q..2N_q-1.
-The interaction Hamiltonian is b†a + ba†. It conserves total photon
-number, so an N-photon input only ever explores H projected onto the
-N-photon sector: the reduced interaction is that projection, built from
-single Gray-code hops at any encoding, and ``sector_evolution`` evolves a
-Fock input exactly on the sector's few states, the oracle every run is
-scored against. ``exact_unitary``, the dense exp(+iθH) over the whole
-register, is the independent check of both.
+The interaction Hamiltonian is b†a + ba†; an ``Interaction`` refuses a
+non-Hermitian operator when it is built, so nothing that takes one checks
+again. H conserves total photon number, so an N-photon input only ever
+explores H projected onto the N-photon sector: the reduced interaction is
+that projection, built from single Gray-code hops at any encoding, and
+``sector_evolution`` evolves a Fock input exactly on the sector's few
+states, the oracle every run is scored against. ``exact_unitary``, the
+dense exp(+iθH) over the whole register, is the independent check of both.
 """
 from __future__ import annotations
 
@@ -27,12 +28,20 @@ class Interaction:
 
     op: PauliOp
 
+    def __post_init__(self):
+        if not self.op.is_hermitian():
+            raise ValueError("interaction must be Hermitian")
+
 
 def interaction(encoding: FockEncoding) -> Interaction:
-    """Full beam-splitter Hamiltonian T + T†, T = b†a; both modes identically encoded."""
-    b_dag = creation_op(encoding)
-    t = b_dag.tensor(b_dag.adjoint())
-    return Interaction(op=t + t.adjoint())
+    """Full beam-splitter Hamiltonian T + T†, T = b†a; both modes identically encoded.
+
+    For b† = Σ c_P·P, T gives P⊗Q the coefficient x = c_P·c̄_Q and T† gives
+    x̄, so H is summed in one pass over pairs of b† terms, building neither.
+    """
+    b_dag, q = creation_op(encoding).terms, encoding.qubits_per_mode
+    t = ((p.code << 2 * q | r.code, p.coeff * r.coeff.conjugate()) for p in b_dag for r in b_dag)
+    return Interaction(op=PauliOp._summed(((code, x + x.conjugate()) for code, x in t), 2 * q))
 
 
 def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:
@@ -58,8 +67,6 @@ def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:
     """exp(+iθH) via Hermitian eigendecomposition; unitary to 1e-12."""
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    if not inter.op.is_hermitian():
-        raise ValueError("interaction must be Hermitian")
     h = inter.op.to_matrix()
     w, v = np.linalg.eigh(h)
     return (v * np.exp(1j * theta * w)) @ v.conj().T

@@ -102,8 +102,6 @@ def trotter_sequence(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if not inter.op.is_hermitian():
-        raise ValueError("interaction must be Hermitian")
     step = []
     for term in inter.op.terms:
         if term.code == 0:

@@ -159,19 +159,22 @@ def circuit_report_cmd(out, qasm_out, **kwargs):
     """Full vs reduced circuit metrics, plus QASM export."""
     config = ExperimentConfig(**kwargs)
     report = circuit_report(config)
+    qasm: dict[Path, str] = {}
     if qasm_out is not None:
+        # Directory first, files after --out: a failure at either leaves neither.
         qdir = Path(qasm_out)
         qdir.mkdir(parents=True, exist_ok=True)
         for name in ("full", "reduced"):
             path = qdir / f"hom-{name}-{config.hash()}.qasm"
-            path.write_text(report[name]["qasm"])
+            qasm[path] = report[name].pop("qasm")
             report[name]["qasm_path"] = str(path)
-            del report[name]["qasm"]
     _write(
         json.dumps(report, indent=2) + "\n",
         out,
         f"hom-circuit-report-{config.hash()}.json",
     )
+    for path, text in qasm.items():
+        path.write_text(text)
 
 
 if __name__ == "__main__":

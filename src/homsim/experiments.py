@@ -13,8 +13,9 @@ tests cross-check it against running the circuit gate by gate. The circuit
 is compiled from the full beam-splitter H, or with ``reduced`` from H
 projected onto the input's 2-photon sector, at any number of qubits per
 mode; the step count and ``reduced`` only shape the circuit, so an exact
-config refuses them. Defaults reproduce the reference setup: 2 qubits per
-mode, a 1:1 splitter (θ = π/4), 10,000 shots.
+config refuses them. A config checks itself when built (a sweep row's
+``replace`` too), so no entry point re-checks it. Defaults reproduce the
+reference setup: 2 qubits per mode, a 1:1 splitter (θ = π/4), 10,000 shots.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ class ExperimentConfig:
     exact: bool = False
     qubits_per_mode: int = 2
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             numeric_bool = isinstance(value, bool) and f.type != "bool"
@@ -120,7 +121,6 @@ class ExperimentReport:
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         config = ExperimentConfig(**d["config"])
-        config.validate()
         width = 2 * config.qubits_per_mode
         if not all(
             _is_label(k, width) and _is_count(c, 0)
@@ -165,7 +165,6 @@ def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
 
 def run_hom(config: ExperimentConfig) -> ExperimentReport:
     """One interference run: prep, evolve, measure statistics."""
-    config.validate()
     encoding = FockEncoding(config.qubits_per_mode)
     n = 2 * config.qubits_per_mode
     exact_state = sv.StateVector(
@@ -209,7 +208,6 @@ def sweep_trotter(
     """
     if not steps_list:
         raise ValueError("steps_list must be non-empty")
-    config.validate()
     if config.exact:
         raise ValueError("Trotter sweep requires the circuit path")
     encoding = FockEncoding(config.qubits_per_mode)
@@ -245,7 +243,6 @@ def sweep_theta(
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")
-    config.validate()
     coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
     rows = []
     for theta in theta_grid:
@@ -261,7 +258,6 @@ def sweep_theta(
 
 def circuit_report(config: ExperimentConfig) -> dict:
     """Side-by-side metrics and QASM for the full and reduced circuits."""
-    config.validate()
     if config.exact:
         raise ValueError("circuit report requires the circuit path")
     encoding = FockEncoding(config.qubits_per_mode)

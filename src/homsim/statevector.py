@@ -9,7 +9,10 @@ are tested against. ``apply_dense`` applies a full unitary such as
 against it.
 
 Label convention everywhere: the leftmost character of a bitstring label is
-qubit 0 and the highest-order bit of the amplitude index. Sampling uses
+qubit 0 and the highest-order bit of the amplitude index j, so qubit q is
+bit n−1−q. Gates and Pauli rotations alike index amplitudes by arithmetic
+on j; the gate path takes nothing from ``pauli``, so it stays an
+independent check of the rotations. Sampling uses
 numpy's PCG64 generator; the algorithm name is surfaced in reports so
 histograms are reproducible across platforms.
 """
@@ -80,25 +83,14 @@ def _gate_matrix(kind: str, angle: float | None) -> np.ndarray:
     raise ValueError(f"no dense 1q matrix for {kind}")
 
 
-def _apply_gate_raw(psi: np.ndarray, g: Gate, n: int) -> np.ndarray:
-    psi = psi.reshape([2] * n)
+def _apply_gate_raw(psi: np.ndarray, g: Gate, j: np.ndarray, n: int) -> np.ndarray:
+    # j = arange(2**n); qubit q is bit n-1-q of the amplitude index.
+    t = n - 1 - g.target
     if g.kind == "CNOT":
-        psi = psi.copy()
-        sel1 = [slice(None)] * n
-        sel1[g.control] = 1
-        flipped = np.flip(psi[tuple(sel1)], axis=_axis_after(g.control, g.target))
-        psi[tuple(sel1)] = flipped
-    else:
-        m = _gate_matrix(g.kind, g.angle)
-        psi = np.moveaxis(
-            np.tensordot(m, psi, axes=([1], [g.target])), 0, g.target
-        )
-    return np.ascontiguousarray(psi.reshape(-1))
-
-
-def _axis_after(removed: int, axis: int) -> int:
-    # Axis index of `axis` once the `removed` axis has been sliced away.
-    return axis - 1 if axis > removed else axis
+        return psi[j ^ ((j >> (n - 1 - g.control) & 1) << t)]
+    m = _gate_matrix(g.kind, g.angle)
+    b = j >> t & 1
+    return m[b, 0] * psi[j & ~(1 << t)] + m[b, 1] * psi[j | 1 << t]
 
 
 def _check_width(n: int) -> None:
@@ -111,10 +103,11 @@ def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
     if c.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
     _check_width(c.n_qubits)
+    j = np.arange(2 ** c.n_qubits)
     psi = s.amplitudes
     for _ in range(c.repeat):
         for g in c.step:
-            psi = _apply_gate_raw(psi, g, c.n_qubits)
+            psi = _apply_gate_raw(psi, g, j, c.n_qubits)
     return StateVector(s.n_qubits, psi)
 
 

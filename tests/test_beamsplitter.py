@@ -51,23 +51,29 @@ class TestInteraction:
         n_total = (n_mode.tensor(ident) + ident.tensor(n_mode)).to_matrix()
         np.testing.assert_allclose(h @ n_total - n_total @ h, 0, atol=1e-12)
 
-    def test_one_tensor_product_per_build(self, monkeypatch):
-        # H = T + T† with T = b†⊗b: the second half is T's adjoint, not a
-        # second 2×-sized product (25,600 terms at 5 qubits per mode). b† is
-        # built beforehand, so only the products of interaction are counted.
+    def test_summed_without_operator_algebra(self, monkeypatch):
+        # H = T + T† is summed in one pass over pairs of b† terms: no tensor
+        # product, adjoint or sum (25,600-term T and T† at 5 qubits per mode).
+        # b† is built beforehand, so only the work of interaction is counted.
         enc = FockEncoding(3)
         b_dag = creation_op(enc)
-        calls = []
-        tensor = PauliOp.tensor
+        calls = {"tensor": 0, "adjoint": 0, "__add__": 0}
 
-        def counted(self, other):
-            calls.append(other)
-            return tensor(self, other)
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
 
         monkeypatch.setattr(beamsplitter, "creation_op", lambda _: b_dag)
-        monkeypatch.setattr(PauliOp, "tensor", counted)
-        interaction(enc)
-        assert len(calls) == 1
+        for name in calls:
+            monkeypatch.setattr(PauliOp, name, counted(name, getattr(PauliOp, name)))
+        assert len(interaction(enc).op) > 0
+        assert calls == {"tensor": 0, "adjoint": 0, "__add__": 0}
+
+    def test_non_hermitian_refused_at_construction(self):
+        with pytest.raises(ValueError, match="interaction must be Hermitian"):
+            Interaction(op=PauliOp.from_label("XY", 1j))
 
 
 class TestReducedInteraction:
@@ -149,8 +155,8 @@ class TestExactUnitary:
             assert p == pytest.approx(math.cos(2 * theta) ** 2, abs=1e-9)
 
     def test_non_hermitian_rejected(self):
-        bad = Interaction(op=PauliOp.from_label("XY", 1j))
         with pytest.raises(ValueError):
+            bad = Interaction(op=PauliOp.from_label("XY", 1j))
             exact_unitary(1.0, bad)
 
     def test_non_finite_theta_rejected(self):

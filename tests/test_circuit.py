@@ -153,8 +153,8 @@ class TestTrotterSequence:
         assert [t.axes for t, _ in seq] == ["ZZ"]
 
     def test_non_hermitian_rejected(self):
-        h = Interaction(op=PauliOp.from_label("XY", 1j))
         with pytest.raises(ValueError):
+            h = Interaction(op=PauliOp.from_label("XY", 1j))
             trotter_sequence(h, 1.0, 1)
 
     def test_per_term_exponentials_converge(self):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,16 +142,23 @@ class TestRunHom:
             {"unknown_key": 1},
             {"trotter_steps": 2},
             {"reduced": True},
+            {"trotter_steps": 0},
+            {"shots": 0},
         ],
     )
     def test_mistyped_config_rejected(self, bad):
-        d = run_hom(ExperimentConfig(exact=True, shots=10)).to_dict()
+        # Refused where the config is built: by a report, a constructor or a
+        # sweep row's replace.
+        valid = ExperimentConfig(exact=True, shots=10)
+        d = run_hom(valid).to_dict()
         d["config"].update(bad)
         with pytest.raises(ValueError):
             ExperimentReport.from_dict(d)
         if "unknown_key" not in bad:
             with pytest.raises(ValueError):
-                run_hom(ExperimentConfig(**d["config"]))
+                ExperimentConfig(**d["config"])
+            with pytest.raises(ValueError):
+                replace(valid, **bad)
 
     @pytest.mark.parametrize(
         "edit",
@@ -315,9 +323,22 @@ class TestCli:
     def test_qasm_out_onto_a_file_exit_code(self, tmp_path):
         existing = tmp_path / "qasm"
         existing.write_text("")
-        result = CliRunner().invoke(main, ["circuit-report", "--qasm-out", str(existing)])
+        out = tmp_path / "report.json"
+        result = CliRunner().invoke(
+            main, ["circuit-report", "--qasm-out", str(existing), "--out", str(out)]
+        )
         assert result.exit_code == 2
         assert result.output.startswith("error: ") and str(existing) in result.output
+        assert not out.exists()
+
+    def test_unwritable_out_leaves_no_qasm(self, tmp_path):
+        qdir = tmp_path / "qasm"
+        out = tmp_path / "missing" / "report.json"
+        result = CliRunner().invoke(
+            main, ["circuit-report", "--qasm-out", str(qdir), "--out", str(out)]
+        )
+        assert result.exit_code == 2
+        assert list(qdir.glob("*.qasm")) == []
 
     def test_invalid_config_exit_code(self):
         result = CliRunner().invoke(main, ["run", "--steps", "0"])
