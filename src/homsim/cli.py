@@ -3,7 +3,8 @@
 Subcommands: run, sweep-trotter, sweep-theta, circuit-report. Each takes
 only the config options it reads; the ExperimentConfig fields it does not
 take keep their defaults. Results go to stdout unless --out is given; a
-directory --out gets an auto-generated filename embedding the config hash.
+directory --out gets an auto-generated filename embedding the config hash
+and, for a sweep, its rows (--steps-list, --points).
 Exit codes: 0 success, 2 invalid config or usage (an option the command
 does not take included) or an output that cannot be written, 3 internal
 invariant violation.
@@ -14,7 +15,6 @@ import csv
 import functools
 import io
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -49,16 +49,19 @@ def _guarded(f):
     return wrapper
 
 
+_DEFAULT = ExperimentConfig()
+
 _CONFIG_OPTIONS = {
-    "theta": click.option("--theta", type=float, default=math.pi / 4, show_default=True),
-    "steps": click.option("--steps", "trotter_steps", type=int, default=1, show_default=True),
-    "shots": click.option("--shots", type=int, default=10_000, show_default=True),
-    "seed": click.option("--seed", type=int, default=1234, show_default=True),
+    "theta": click.option("--theta", type=float, default=_DEFAULT.theta, show_default=True),
+    "steps": click.option("--steps", "trotter_steps", type=int,
+                          default=_DEFAULT.trotter_steps, show_default=True),
+    "shots": click.option("--shots", type=int, default=_DEFAULT.shots, show_default=True),
+    "seed": click.option("--seed", type=int, default=_DEFAULT.seed, show_default=True),
     "reduced": click.option("--reduced", is_flag=True,
                             help="Compile H projected onto the input's 2-photon sector."),
     "exact": click.option("--exact", is_flag=True, help="Bypass the circuit; evolve exactly."),
-    "qubits-per-mode": click.option("--qubits-per-mode", type=int, default=2,
-                                    show_default=True),
+    "qubits-per-mode": click.option("--qubits-per-mode", type=int,
+                                    default=_DEFAULT.qubits_per_mode, show_default=True),
 }
 
 
@@ -127,7 +130,8 @@ def sweep_trotter_cmd(steps_list, out, fmt, **kwargs):
     config = ExperimentConfig(**kwargs)
     steps = [int(s) for s in steps_list.split(",") if s.strip()]
     rows = sweep_trotter(config, steps)
-    _rows_out(rows, fmt, out, f"hom-sweep-trotter-{config.hash()}")
+    stem = f"hom-sweep-trotter-{config.hash()}-steps-{'-'.join(map(str, steps))}"
+    _rows_out(rows, fmt, out, stem)
 
 
 @main.command("sweep-theta")
@@ -144,9 +148,9 @@ def sweep_theta_cmd(points, use_circuit, out, fmt, **kwargs):
 
     --steps and --reduced shape the circuit, so they need --circuit.
     """
-    config = ExperimentConfig(**kwargs)
+    config = ExperimentConfig(exact=not use_circuit, **kwargs)
     rows = sweep_theta(config, theta_grid(points), use_circuit=use_circuit)
-    _rows_out(rows, fmt, out, f"hom-sweep-theta-{config.hash()}")
+    _rows_out(rows, fmt, out, f"hom-sweep-theta-{config.hash()}-points-{points}")
 
 
 @main.command("circuit-report")

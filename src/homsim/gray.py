@@ -81,11 +81,9 @@ def hop_term(encoding: FockEncoding, n: int) -> PauliOp:
 
 def creation_op(encoding: FockEncoding) -> PauliOp:
     """Truncated creation operator: sum of sqrt(n) weighted hops |n-1> -> |n>."""
-    width = encoding.qubits_per_mode
-    out = PauliOp.zero(width)
-    for n in range(1, encoding.capacity + 1):
-        out = out + hop_term(encoding, n).scale(math.sqrt(n))
-    return out
+    weighted = ((math.sqrt(n), hop_term(encoding, n)) for n in range(1, encoding.capacity + 1))
+    pairs = ((t.code, t.coeff * w) for w, hop in weighted for t in hop.terms)
+    return PauliOp._summed(pairs, encoding.qubits_per_mode)
 
 
 def annihilation_op(encoding: FockEncoding) -> PauliOp:

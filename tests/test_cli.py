@@ -1,12 +1,14 @@
 """The `hom` options: each one read, none silently ignored, the README in step."""
 import json
 import shlex
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from homsim.cli import main
+from homsim.experiments import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -93,6 +95,29 @@ def test_exact_run_refuses_circuit_options(args):
     result = CliRunner().invoke(main, ["run", "--exact", *args])
     assert result.exit_code == 2
     assert CIRCUIT_ONLY in result.output
+
+
+def test_run_defaults_are_the_config_defaults():
+    result = CliRunner().invoke(main, ["run"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["config"] == asdict(ExperimentConfig())
+
+
+SWEEP_PAIRS = {
+    "theta-exact-vs-circuit": (["sweep-theta", "--points", "3"],
+                               ["sweep-theta", "--points", "3", "--circuit"]),
+    "theta-points": (["sweep-theta", "--points", "3"], ["sweep-theta", "--points", "4"]),
+    "trotter-steps-list": (["sweep-trotter", "--steps-list", "1"],
+                           ["sweep-trotter", "--steps-list", "1,2"]),
+}
+
+
+@pytest.mark.parametrize("first, second", SWEEP_PAIRS.values(), ids=SWEEP_PAIRS)
+def test_sweeps_into_one_directory_keep_both_files(tmp_path, first, second):
+    for args in (first, second):
+        result = CliRunner().invoke(main, [*args, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def readme_commands() -> list[list[str]]:

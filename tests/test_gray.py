@@ -14,6 +14,7 @@ from homsim.gray import (
     ladder,
     projector,
 )
+from homsim.pauli import PauliOp
 
 
 def fock_permuted(op, encoding):
@@ -127,6 +128,15 @@ class TestCreationAnnihilation:
             + projector(1).tensor(ladder(0)).scale(math.sqrt(3))
         )
         assert creation_op(enc) == explicit
+
+    @pytest.mark.parametrize("nq", [1, 2, 3, 4, 5, 6])
+    def test_one_pass_sum_matches_chained_sum_of_hops(self, nq):
+        enc = FockEncoding(nq)
+        chained = PauliOp.zero(nq)
+        for n in range(1, enc.capacity + 1):
+            chained = chained + hop_term(enc, n).scale(math.sqrt(n))
+        terms = [(t.code, repr(t.coeff)) for t in creation_op(enc).terms]
+        assert terms == [(t.code, repr(t.coeff)) for t in chained.terms]
 
     def test_adjoint_pair(self):
         enc = FockEncoding(2)
