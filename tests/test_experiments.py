@@ -129,6 +129,45 @@ class TestRunHom:
         }
         assert (d["metrics"] is None) == config.exact
 
+    # What the writer puts in each report field, as JSON gives it back.
+    @staticmethod
+    def _is_label(label, config):
+        return len(label) == 2 * config.qubits_per_mode and set(label) <= {"0", "1"}
+
+    WRITTEN_FIELDS = {
+        "probabilities": lambda v, c: (
+            len(v) == 4 ** c.qubits_per_mode
+            and all(TestRunHom._is_label(k, c) for k in v)
+            and all(type(p) is float and 0.0 <= p <= 1.0 + 1e-12 for p in v.values())
+            and math.isclose(sum(v.values()), 1.0, abs_tol=1e-9)
+        ),
+        "counts": lambda v, c: (
+            all(TestRunHom._is_label(k, c) for k in v)
+            and all(type(n) is int and n > 0 for n in v.values())
+            and sum(v.values()) == c.shots
+        ),
+        "shots": lambda v, c: type(v) is int and v == c.shots,
+        "fidelity": lambda v, c: type(v) is float and 0.0 <= v <= 1.0 + 1e-12,
+        "rng": lambda v, c: v == {"algorithm": sv.RNG_ALGORITHM, "seed": c.seed},
+        "metrics": lambda v, c: (
+            v is None if c.exact
+            else type(v["depth"]) is int and type(v["cx_count"]) is int
+        ),
+    }
+
+    @pytest.mark.parametrize("field", WRITTEN_FIELDS)
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ExperimentConfig(exact=True, shots=10, seed=7, qubits_per_mode=3),
+            ExperimentConfig(trotter_steps=2, shots=10, seed=7),
+        ],
+        ids=["exact", "circuit"],
+    )
+    def test_report_field_written(self, config, field):
+        d = json.loads(run_hom(config).to_json())
+        assert self.WRITTEN_FIELDS[field](d[field], config), d[field]
+
     def test_fixed_seed_gives_identical_report_text(self):
         a = run_hom(ExperimentConfig(trotter_steps=2)).to_json()
         b = run_hom(ExperimentConfig(trotter_steps=2)).to_json()
