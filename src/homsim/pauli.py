@@ -193,7 +193,7 @@ def _collect(pairs: Iterable[tuple[int, complex]], width: int) -> tuple[PauliTer
     for code, c in pairs:
         acc[code] = acc.get(code, 0) + c
     return tuple(
-        PauliTerm(c, code, width) for code, c in sorted(acc.items()) if abs(c) > DROP_TOL
+        PauliTerm(c, code, width) for code, c in sorted(acc.items()) if not abs(c) <= DROP_TOL
     )
 
 

@@ -46,7 +46,7 @@ class StateVector:
         if self.amplitudes.shape != (2 ** self.n_qubits,):
             raise ValueError("amplitude count must be 2^n_qubits")
         norm = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise NormDriftError(f"norm^2 = {norm} drifted beyond {NORM_TOL}")
 
 
@@ -157,7 +157,7 @@ def apply_dense(s: StateVector, m: np.ndarray) -> StateVector:
     dim = 2 ** s.n_qubits
     if m.shape != (dim, dim):
         raise ValueError(f"matrix shape {m.shape} does not match {dim}-dim state")
-    if np.max(np.abs(m @ m.conj().T - np.eye(dim))) > NORM_TOL:
+    if not np.max(np.abs(m @ m.conj().T - np.eye(dim))) <= NORM_TOL:
         raise ValueError("matrix is not unitary within tolerance")
     return StateVector(s.n_qubits, m @ s.amplitudes)
 

@@ -103,6 +103,15 @@ def test_run_defaults_are_the_config_defaults():
     assert json.loads(result.output)["config"] == asdict(ExperimentConfig())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("args", [["--exact"], []], ids=["exact", "circuit"])
+def test_overflowed_state_is_an_internal_error(args):
+    # exp(iθw) overflows at θ = 1e308, so the exact amplitudes come out NaN.
+    result = CliRunner().invoke(main, ["run", *args, "--theta", "1e308"])
+    assert result.exit_code == 3
+    assert "internal error: norm^2 = nan" in result.output
+
+
 SWEEP_PAIRS = {
     "theta-exact-vs-circuit": (["sweep-theta", "--points", "3"],
                                ["sweep-theta", "--points", "3", "--circuit"]),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +50,10 @@ class TestOpArithmetic:
 
     def test_cancellation_gives_empty(self):
         assert len(op("X") + op("X", -1.0)) == 0
+
+    def test_nan_coefficient_kept(self):
+        (term,) = op("X", math.nan).terms
+        assert term.axes == "X" and math.isnan(term.coeff.real)
 
     def test_distinct_strings_not_collected(self):
         combined = op("XY") + op("YX")

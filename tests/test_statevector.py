@@ -79,6 +79,14 @@ def random_circuit(rng, n_qubits, n_gates):
     return Circuit(n_qubits, tuple(gates))
 
 
+class TestNormCheck:
+    @pytest.mark.parametrize("amplitudes", [[math.nan, 0, 0, 0], [1, 1, 0, 0]],
+                             ids=["nan", "drifted"])
+    def test_off_sphere_state_rejected(self, amplitudes):
+        with pytest.raises(sv.NormDriftError):
+            StateVector(2, np.array(amplitudes, dtype=complex))
+
+
 class TestInitBasis:
     def test_amplitude_at_label_index(self):
         s = init_basis(4, "0101")
@@ -156,6 +164,10 @@ class TestApplyDense:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError):
             apply_dense(init_basis(2, "00"), 2 * np.eye(4))
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(ValueError, match="not unitary"):
+            apply_dense(init_basis(2, "00"), np.full((4, 4), math.nan))
 
 
 class TestProbabilitiesAndSampling:
