@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -38,9 +39,18 @@ def interaction(encoding: FockEncoding) -> Interaction:
 
     For b† = Σ c_P·P, T gives P⊗Q the coefficient x = c_P·c̄_Q and T† gives
     x̄, so H is summed in one pass over pairs of b† terms, building neither.
+    Only a ladder's Y is imaginary (±i/2), so x is imaginary, and x + x̄ = 0,
+    exactly when P and Q differ in the parity of their Y counts: such pairs
+    are skipped.
     """
     b_dag, q = creation_op(encoding).terms, encoding.qubits_per_mode
-    t = ((p.code << 2 * q | r.code, p.coeff * r.coeff.conjugate()) for p in b_dag for r in b_dag)
+    parity: tuple[list, list] = ([], [])
+    for p in b_dag:  # a Y digit is (high, low) = (1, 0)
+        parity[(p.code >> 1 & ~p.code & (4 ** q - 1) // 3).bit_count() & 1].append(p)
+    t = (
+        (p.code << 2 * q | r.code, p.coeff * r.coeff.conjugate())
+        for same in parity for p, r in product(same, same)
+    )
     return Interaction(op=PauliOp._summed(((code, x + x.conjugate()) for code, x in t), 2 * q))
 
 

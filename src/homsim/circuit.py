@@ -10,10 +10,14 @@ ladder. Output is deterministic for fixed input, down to the QASM text.
 step's gates and a repeat count. Validation, gate counts and the QASM text
 are worked out from the step once; depth composes the step's per-qubit
 delays, so no metric walks the repeats.
-Within one ``trotter_circuit`` call every angle-free gate (H, RX(±π/2),
-CNOT) is one shared object, so a step holds one fresh gate per term plus
-at most 3n + n(n−1) shared ones, and the QASM text of each distinct gate
-object is formatted once.
+``trotter_circuit`` reads each term's X, Y and active qubits from its code
+by bit masks, never from axes text. Within one call the CNOT ladder of each
+active mask and the basis changes of each (X, Y) mask pair are built once
+and shared by every term with those masks, and every angle-free gate
+(H, RX(±π/2), CNOT) is one shared object. So a step holds one fresh gate
+per term plus at most 3n + n(n−1) shared ones, and the QASM text of each
+distinct gate object is formatted once. ``rotation_circuit`` is the
+one-term case of the same path.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .beamsplitter import Interaction
 from .pauli import PauliTerm
@@ -113,44 +117,7 @@ def trotter_sequence(
 
 def rotation_circuit(axes: str, alpha: float) -> Circuit:
     """Circuit for exp(-i·alpha·P), P the Pauli string ``axes``."""
-    return Circuit(len(axes), tuple(_rotation_gates(axes, alpha, Gate)))
-
-
-def _rotation_gates(axes: str, alpha: float, gate: Callable[..., Gate]) -> list[Gate]:
-    """Gates of exp(-i·alpha·P), P the Pauli string ``axes``.
-
-    Basis changes map every active qubit to Z, a CNOT ladder chains the
-    active qubits in ascending index (identity qubits skipped), RZ(2α)
-    lands on the last active qubit, then everything mirrors back. ``gate``
-    builds the angle-free H, CNOT and RX(±π/2) gates from Gate's positional
-    arguments; only the RZ(2α) (or lone RX(2α)) is built here.
-    """
-    active = [q for q, a in enumerate(axes) if a != "I"]
-    if not active:
-        raise ValueError("all-identity string has no rotation circuit")
-
-    if len(active) == 1 and axes[active[0]] == "X":
-        return [Gate("RX", active[0], angle=2 * alpha)]
-
-    pre: list[Gate] = []
-    post: list[Gate] = []
-    for q in active:
-        a = axes[q]
-        if a == "X":
-            pre.append(gate("H", q))
-            post.append(gate("H", q))
-        elif a == "Y":
-            pre.append(gate("RX", q, None, math.pi / 2))
-            post.append(gate("RX", q, None, -math.pi / 2))
-
-    ladder = [gate("CNOT", b, a) for a, b in zip(active, active[1:])]
-    return (
-        pre
-        + ladder
-        + [Gate("RZ", active[-1], angle=2 * alpha)]
-        + ladder[::-1]
-        + post[::-1]
-    )
+    return trotter_circuit([(PauliTerm.from_label(1.0, axes), -alpha)], len(axes), 1)
 
 
 def synthesize(inter: Interaction, theta: float, steps: int) -> Circuit:
@@ -165,12 +132,18 @@ def trotter_circuit(
 ) -> Circuit:
     """Circuit of a ``trotter_sequence`` step, repeated ``steps`` times.
 
-    The rotations implement exp(-iαP), so each Trotter angle flips sign
-    here to realize the +iθ exponent of the beam splitter. Each angle-free
-    gate is built once per call and shared by every term that uses it: at
-    most 3n + n(n−1) of them (H and RX(±π/2) per qubit, CNOT per ordered
-    pair).
+    Each (P, angle) becomes exp(+i·angle·P), the sign flip realizing the
+    beam splitter's +iθ: basis changes map every active qubit to Z, a CNOT
+    ladder chains the active qubits in ascending index, RZ(−2·angle) lands
+    on the last active qubit, then everything mirrors back; a lone X is one
+    RX(−2·angle). With D = (4^n − 1)/3 the low bit of every digit, low =
+    code & D and high = code >> 1 & D give active = low | high, X = low &
+    ~high and Y = high & ~low. The ladder pair is kept per active mask and
+    the basis-change pair per (X, Y), so a term builds only its RZ (or RX).
     """
+    n = n_qubits
+    digits = (4 ** n - 1) // 3
+    bits = [(q, 1 << 2 * (n - 1 - q)) for q in range(n)]
     shared: dict[tuple, Gate] = {}
 
     def gate(*args) -> Gate:
@@ -179,19 +152,52 @@ def trotter_circuit(
             g = shared[args] = Gate(*args)
         return g
 
+    ladders: dict[int, tuple[list[Gate], list[Gate]]] = {}
+    bases: dict[tuple[int, int], tuple[list[Gate], list[Gate]]] = {}
     gates: list[Gate] = []
     for term, angle in step:
-        gates += _rotation_gates(term.axes, -angle, gate)
-    return Circuit(n_qubits, tuple(gates), steps)
+        code = term.code
+        if term.width != n:  # a narrower term acts on the leading qubits
+            code = code << 2 * n >> 2 * term.width
+            if code << 2 * term.width >> 2 * n != term.code:
+                raise ValueError(f"term {term.axes} outside register of {n}")
+        low, high = code & digits, code >> 1 & digits
+        active = low | high
+        if not active:
+            raise ValueError("all-identity string has no rotation circuit")
+        last = n - 1 - ((active & -active).bit_length() >> 1)
+        x, y = low & ~high, high & ~low
+        if x == active and not active & (active - 1):
+            gates.append(Gate("RX", last, angle=-2 * angle))
+            continue
+        ladder = ladders.get(active)
+        if ladder is None:
+            qs = [q for q, b in bits if active & b]
+            run = [gate("CNOT", t, c) for c, t in zip(qs, qs[1:])]
+            ladder = ladders[active] = (run, run[::-1])
+        basis = bases.get((x, y))
+        if basis is None:
+            xy = [(q, x & b) for q, b in bits if (x | y) & b]
+            pre = [gate("H", q) if h else gate("RX", q, None, math.pi / 2) for q, h in xy]
+            post = [gate("H", q) if h else gate("RX", q, None, -math.pi / 2) for q, h in xy[::-1]]
+            basis = bases[x, y] = (pre, post)
+        gates += basis[0]
+        gates += ladder[0]
+        gates.append(Gate("RZ", last, angle=-2 * angle))
+        gates += ladder[1]
+        gates += basis[1]
+    return Circuit(n, tuple(gates), steps)
 
 
 def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
     """Greedy layering: each gate lands one layer above its qubits' last; in place."""
     for g in gates:
-        if g.control is None:
-            busy[g.target] += 1
+        t, c = g.target, g.control
+        if c is None:
+            busy[t] += 1
         else:
-            busy[g.target] = busy[g.control] = 1 + max(busy[g.target], busy[g.control])
+            bt, bc = busy[t], busy[c]
+            busy[t] = busy[c] = 1 + (bt if bt > bc else bc)
     return busy
 
 

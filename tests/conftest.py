@@ -93,6 +93,32 @@ def pauli_exp(axes: str, alpha: float) -> np.ndarray:
     return (v * np.exp(-1j * alpha * w)) @ v.conj().T
 
 
+def reference_rotation_gates(axes: str, alpha: float) -> list[Gate]:
+    """Reference gates of exp(-i·alpha·P), read character by character from ``axes``.
+
+    Basis changes map every active qubit to Z, a CNOT ladder chains the
+    active qubits in ascending index (identity qubits skipped), RZ(2α)
+    lands on the last active qubit, then everything mirrors back; a lone X
+    is one RX(2α). Every gate is built fresh, none shared.
+    """
+    active = [q for q, a in enumerate(axes) if a != "I"]
+    if not active:
+        raise ValueError("all-identity string has no rotation circuit")
+    if len(active) == 1 and axes[active[0]] == "X":
+        return [Gate("RX", active[0], angle=2 * alpha)]
+    pre: list[Gate] = []
+    post: list[Gate] = []
+    for q in active:
+        if axes[q] == "X":
+            pre.append(Gate("H", q))
+            post.append(Gate("H", q))
+        elif axes[q] == "Y":
+            pre.append(Gate("RX", q, angle=math.pi / 2))
+            post.append(Gate("RX", q, angle=-math.pi / 2))
+    ladder = [Gate("CNOT", target=b, control=a) for a, b in zip(active, active[1:])]
+    return pre + ladder + [Gate("RZ", active[-1], angle=2 * alpha)] + ladder[::-1] + post[::-1]
+
+
 def phase_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|tr(U† V)| / dim: 1 iff U and V agree up to global phase."""
     return abs(np.trace(u.conj().T @ v)) / u.shape[0]

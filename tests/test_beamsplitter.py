@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
     dense_beamsplitter,
+    exact_terms,
     hand_reduced_q2,
     number_op,
     sector_projector,
@@ -20,10 +22,24 @@ from homsim.beamsplitter import (
     sector_evolution,
 )
 from homsim.gray import FockEncoding, creation_op, gray_bits
-from homsim.pauli import PauliOp
+from homsim.pauli import PauliOp, PauliTerm
 from homsim.statevector import apply_dense, init_basis
 
 ENC = FockEncoding(2)
+
+
+def all_pairs_interaction(enc: FockEncoding) -> PauliOp:
+    """H = T + T† summed over every pair of b† terms, the cancelling ones included."""
+    b_dag, width = creation_op(enc).terms, 2 * enc.qubits_per_mode
+    return PauliOp(
+        [
+            PauliTerm(x + x.conjugate(), p.code << width | r.code, width)
+            for p in b_dag
+            for r in b_dag
+            for x in [p.coeff * r.coeff.conjugate()]
+        ],
+        width=width,
+    )
 
 
 def encoded_two_mode_state(n_b, n_a, enc=ENC):
@@ -70,6 +86,23 @@ class TestInteraction:
             monkeypatch.setattr(PauliOp, name, counted(name, getattr(PauliOp, name)))
         assert len(interaction(enc).op) > 0
         assert calls == {"tensor": 0, "adjoint": 0, "__add__": 0}
+
+    @pytest.mark.parametrize("qpm", range(1, 7))
+    def test_equals_the_sum_over_every_pair(self, qpm):
+        enc = FockEncoding(qpm)
+        assert exact_terms(interaction(enc).op) == exact_terms(all_pairs_interaction(enc))
+
+    def test_build_memory(self):
+        # tracemalloc peak of the qpm=5 build (12,800 terms): 5.8 MB with every
+        # pair of b† terms in the dict, 3.5 MB with the cancelling half skipped.
+        enc = FockEncoding(5)
+        tracemalloc.start()
+        try:
+            interaction(enc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_600_000
 
     def test_non_hermitian_refused_at_construction(self):
         with pytest.raises(ValueError, match="interaction must be Hermitian"):

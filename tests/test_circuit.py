@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import apply_gate, hand_reduced_q2, layered_metrics, pauli_exp, phase_fidelity
+from conftest import (
+    apply_gate,
+    hand_reduced_q2,
+    layered_metrics,
+    pauli_exp,
+    phase_fidelity,
+    reference_rotation_gates,
+)
 from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
@@ -57,6 +64,11 @@ class TestGateValidation:
         sequence = [(PauliTerm.from_label(1.0, "ZIZ"), 0.3)]
         with pytest.raises(ValueError, match="outside register of 2"):
             trotter_circuit(sequence, 2, 1)
+
+    def test_narrower_term_acts_on_the_leading_qubits(self):
+        c = trotter_circuit([(PauliTerm.from_label(1.0, "XY"), -0.3)], 3, 1)
+        assert c == rotation_circuit("XYI", 0.3)
+        assert c.step == tuple(reference_rotation_gates("XYI", 0.3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
@@ -173,6 +185,15 @@ class TestTrotterSequence:
         assert 0.3 < errors[8] / errors[4] < 0.7
 
 
+def assert_reference_gates(axes: str, alpha: float) -> None:
+    """``rotation_circuit`` equals the text-read reference, gate for gate."""
+    c = rotation_circuit(axes, alpha)
+    assert c.n_qubits == len(axes) and c.repeat == 1
+    fields = [(g.kind, g.target, g.control, g.angle) for g in c.step]
+    want = [(g.kind, g.target, g.control, g.angle) for g in reference_rotation_gates(axes, alpha)]
+    assert fields == want, axes
+
+
 class TestRotationCircuit:
     def test_single_x_is_one_rx(self):
         c = rotation_circuit("X", 0.3)
@@ -199,6 +220,32 @@ class TestRotationCircuit:
     def test_all_identity_rejected(self):
         with pytest.raises(ValueError):
             rotation_circuit("III", 0.1)
+
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    def test_every_string_matches_the_reference(self, width):
+        with pytest.raises(ValueError, match="all-identity"):
+            rotation_circuit("I" * width, 0.3)
+        lone_x = 0
+        for code in range(1, 4 ** width):
+            axes = PauliTerm(1.0, code, width).axes
+            assert_reference_gates(axes, 0.3)
+            if axes.count("I") == width - 1 and "X" in axes:
+                assert [g.kind for g in rotation_circuit(axes, 0.3).step] == ["RX"]
+                lone_x += 1
+        assert lone_x == width
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.text(alphabet="IXYZ", min_size=1, max_size=14),
+        st.floats(-10, 10, allow_nan=False),
+    )
+    def test_drawn_strings_match_the_reference(self, axes, alpha):
+        if set(axes) == {"I"}:
+            for build in (rotation_circuit, reference_rotation_gates):
+                with pytest.raises(ValueError, match="all-identity"):
+                    build(axes, alpha)
+        else:
+            assert_reference_gates(axes, alpha)
 
     def test_random_strings_match_exponential_oracle(self, rng):
         for _ in range(50):
@@ -256,7 +303,7 @@ class TestSharedGates:
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         sequence = trotter_sequence(inter, 0.7, 1)
         unshared = tuple(
-            g for term, angle in sequence for g in rotation_circuit(term.axes, -angle).step
+            g for term, angle in sequence for g in reference_rotation_gates(term.axes, -angle)
         )
         assert synthesize(inter, 0.7, 1).step == unshared
 
@@ -356,11 +403,28 @@ class TestQasmExport:
             (2, "7071851c01ca66f86b4c6334d278df52bdbedf4089ed6fe0a3dcb45fec9cf936"),
             (3, "5a48ed5f20a5599cf80dcd68180c7f76a2ff3f8d3664f132657c348b089ecc42"),
             (4, "ba8e5bb994651678445ff1e20d68f0c275e1767af660fb3694c108e9c3d6ee36"),
+            (5, "43ff4584a671d85e90d39ca14a54c971affb4946ffeb7f38f5fe65876f6bf85f"),
         ],
     )
     def test_full_qasm_unchanged(self, qpm, digest):
-        # Digests of the 1-step π/4 QASM emitted before Pauli strings became codes.
+        # Digests of the 1-step π/4 QASM emitted before Pauli strings became codes
+        # (qpm 2–4) and while each term's gates were read from its axes text (qpm=5).
         inter = interaction(FockEncoding(qpm))
+        text = export_qasm(synthesize(inter, math.pi / 4, 1))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "qpm, digest",
+        [
+            (3, "a38f104792969df27880721ffa62b427d80766a64a90d07a5a24b9550c3ee663"),
+            (4, "f9bf3702fd62b758573ae08694e193cc52f98c542d35f9e15e8db7d1847a6df4"),
+            (5, "881d75576062e1bbd652073e31d187afbfb6d2d603f5762bdbaac7a6f358f4ab"),
+        ],
+    )
+    def test_reduced_qasm_unchanged(self, qpm, digest):
+        # Digests of the 1-step π/4 QASM emitted while each term's gates were
+        # read from its axes text.
+        inter = reduced_interaction(FockEncoding(qpm), 2)
         text = export_qasm(synthesize(inter, math.pi / 4, 1))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
