@@ -91,10 +91,10 @@ def sector_evolution(
     tridiagonal matrix joining k and k+1 with weight √((k+1)(N−k)): the
     SU(2) splitter of Campos, Saleh & Teich (PRA 40, 1371 (1989)), cut to
     the register. Its eigendecomposition is embedded through the Gray
-    labels; every amplitude outside the sector is exactly zero.
+    labels; every amplitude outside the sector is exactly zero. A θ whose
+    phases θ·w are not finite (NaN, ±inf, or an overflowing product) is a
+    ``ValueError``.
     """
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
     if not all(0 <= n <= encoding.capacity for n in fock):
         raise ValueError(f"Fock input {fock} outside [0, {encoding.capacity}] per mode")
     n_b, n_a = fock
@@ -102,6 +102,9 @@ def sector_evolution(
     ks = np.arange(max(0, photons - cap), min(photons, cap) + 1)
     weights = np.sqrt((ks[:-1] + 1) * (photons - ks[:-1]))
     w, v = np.linalg.eigh(np.diag(weights, 1) + np.diag(weights, -1))
+    # eigh sorts w, so its ends bound every |θ·w|; a float product never warns.
+    if not math.isfinite(theta * max(-float(w[0]), float(w[-1]))):
+        raise ValueError(f"theta = {theta!r}: the phases exp(i·theta·w) are not finite")
     rows = [basis_index(encoding, k) << q | basis_index(encoding, photons - k) for k in ks]
     out = np.zeros(4 ** q, dtype=complex)
     out[rows] = v @ (np.exp(1j * theta * w) * v[n_b - ks[0]])

@@ -56,19 +56,12 @@ class Gate:
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
 
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        if self.control is not None:
-            return (self.control, self.target)
-        return (self.target,)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Circuit:
     """``step`` applied ``repeat`` times in a row on a register of ``n_qubits``.
 
-    Two circuits are equal when they run the same gate sequence, however it
-    splits into step and repeats.
+    Equal field by field, so another step/repeat split is another circuit.
     """
 
     n_qubits: int
@@ -88,13 +81,6 @@ class Circuit:
     def gates(self) -> tuple[Gate, ...]:
         """The full gate sequence, every repeat written out."""
         return self.step * self.repeat
-
-    def __eq__(self, other):
-        same_register = isinstance(other, Circuit) and self.n_qubits == other.n_qubits
-        return same_register and self.gates == other.gates
-
-    def __hash__(self):
-        return hash((self.n_qubits, self.gates))
 
 
 def trotter_sequence(
@@ -132,6 +118,11 @@ def trotter_circuit(
 ) -> Circuit:
     """Circuit of a ``trotter_sequence`` step, repeated ``steps`` times.
 
+    Every term must be ``n_qubits`` wide, as ``apply_rotations`` requires.
+    Identity terms are outside that shared rule: ``trotter_sequence`` never
+    emits one, this emitter refuses one, and ``apply_rotations`` applies one
+    as a global phase.
+
     Each (P, angle) becomes exp(+i·angle·P), the sign flip realizing the
     beam splitter's +iθ: basis changes map every active qubit to Z, a CNOT
     ladder chains the active qubits in ascending index, RZ(−2·angle) lands
@@ -156,11 +147,9 @@ def trotter_circuit(
     bases: dict[tuple[int, int], tuple[list[Gate], list[Gate]]] = {}
     gates: list[Gate] = []
     for term, angle in step:
+        if term.width != n:
+            raise ValueError(f"term {term.axes} outside register of {n}")
         code = term.code
-        if term.width != n:  # a narrower term acts on the leading qubits
-            code = code << 2 * n >> 2 * term.width
-            if code << 2 * term.width >> 2 * n != term.code:
-                raise ValueError(f"term {term.axes} outside register of {n}")
         low, high = code & digits, code >> 1 & digits
         active = low | high
         if not active:

@@ -190,8 +190,9 @@ def layered_metrics(c: Circuit) -> dict:
     busy = [0] * c.n_qubits
     kind_counts: dict[str, int] = {}
     for g in c.gates:
-        layer = 1 + max((busy[q] for q in g.qubits), default=0)
-        for q in g.qubits:
+        qubits = (g.target,) if g.control is None else (g.control, g.target)
+        layer = 1 + max(busy[q] for q in qubits)
+        for q in qubits:
             busy[q] = layer
         kind_counts[g.kind] = kind_counts.get(g.kind, 0) + 1
     return {

@@ -251,3 +251,21 @@ class TestSectorEvolution:
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ValueError):
             sector_evolution(ENC, (1, 1), math.nan)
+
+    # |1,1> has phases θ·w with w = ±2, 0; the vacuum's only w is 0.
+    @pytest.mark.parametrize(
+        "fock, theta",
+        [((1, 1), 1e308), ((1, 1), -1e308)]
+        + [(f, t) for f in [(1, 1), (0, 0)] for t in (math.inf, -math.inf, math.nan)],
+    )
+    def test_theta_with_non_finite_phases_rejected(self, fock, theta, recwarn):
+        with pytest.raises(ValueError, match="theta"):
+            sector_evolution(ENC, fock, theta)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize(
+        "fock, theta", [((1, 1), 8e307), ((1, 1), -8e307), ((1, 1), 1e300), ((0, 0), 1e308)]
+    )
+    def test_huge_theta_with_finite_phases_evolves(self, fock, theta):
+        out = sector_evolution(ENC, fock, theta)
+        assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)

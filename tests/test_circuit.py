@@ -28,7 +28,7 @@ from homsim.circuit import (
 )
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
-from homsim.statevector import apply_circuit, circuit_unitary, init_basis
+from homsim.statevector import apply_circuit, apply_rotations, circuit_unitary, init_basis
 
 ENC = FockEncoding(2)
 
@@ -60,15 +60,12 @@ class TestGateValidation:
         with pytest.raises(ValueError, match="outside register of 2"):
             Circuit(2, (Gate("H", 0), gate))
 
-    def test_term_wider_than_register_rejected(self):
-        sequence = [(PauliTerm.from_label(1.0, "ZIZ"), 0.3)]
+    # Every width but the register's is refused, identity digits or not.
+    @pytest.mark.parametrize("axes", ["ZIZ", "IZZ", "ZZI", "Z"])
+    def test_term_wider_than_register_rejected(self, axes):
+        sequence = [(PauliTerm.from_label(1.0, axes), 0.3)]
         with pytest.raises(ValueError, match="outside register of 2"):
             trotter_circuit(sequence, 2, 1)
-
-    def test_narrower_term_acts_on_the_leading_qubits(self):
-        c = trotter_circuit([(PauliTerm.from_label(1.0, "XY"), -0.3)], 3, 1)
-        assert c == rotation_circuit("XYI", 0.3)
-        assert c.step == tuple(reference_rotation_gates("XYI", 0.3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown gate kind"):
@@ -81,6 +78,30 @@ class TestGateValidation:
     def test_repeat_below_one_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
             Circuit(1, (Gate("H", 0),), 0)
+
+
+OFF_WIDTH = [
+    (n, axes)
+    for n in (2, 3, 4)
+    # Width n−1 and n+1, bare and padded with identity digits.
+    for axes in ("Z" * (n - 1), "X" + "I" * (n - 2), "Z" * (n + 1), "Z" * n + "I", "I" + "Z" * n)
+]
+
+
+@pytest.mark.parametrize("n, axes", OFF_WIDTH, ids=[f"{n}-{a}" for n, a in OFF_WIDTH])
+def test_emitter_and_rotation_pass_share_the_width_rule(n, axes):
+    start = init_basis(n, "1" * n)
+    off = [(PauliTerm.from_label(1.0, axes), 0.3)]
+    with pytest.raises(ValueError, match=f"register of {n}"):
+        trotter_circuit(off, n, 1)
+    with pytest.raises(ValueError, match=f"register of {n}"):
+        apply_rotations(start, off)
+    fits = [(PauliTerm.from_label(1.0, "X" + "Z" * (n - 1)), 0.3)]
+    np.testing.assert_allclose(
+        apply_rotations(start, fits).amplitudes,
+        apply_circuit(start, trotter_circuit(fits, n, 1)).amplitudes,
+        rtol=0, atol=1e-12,
+    )
 
 
 @st.composite
@@ -108,11 +129,12 @@ class TestRepeatedCircuit:
         step = (Gate("H", 0), Gate("CNOT", target=1, control=0))
         assert Circuit(2, step, 3).gates == step * 3
 
-    def test_equal_when_the_gate_sequences_are(self):
+    def test_equal_when_the_fields_are(self):
         h = Gate("H", 0)
-        assert Circuit(1, (h, h)) == Circuit(1, (h,), 2)
-        assert hash(Circuit(1, (h, h))) == hash(Circuit(1, (h,), 2))
-        assert Circuit(1, (), 4) == Circuit(1, ())
+        assert Circuit(1, (h, h), 2) == Circuit(1, (Gate("H", 0),) * 2, 2)
+        assert hash(Circuit(1, (h, h), 2)) == hash(Circuit(1, (Gate("H", 0),) * 2, 2))
+        assert Circuit(1, (h, h)) != Circuit(1, (h,), 2)
+        assert Circuit(1, (), 4) != Circuit(1, ())
         assert Circuit(1, (h,), 2) != Circuit(1, (h,), 3)
         assert Circuit(1, (h,)) != Circuit(2, (h,))
 
@@ -215,7 +237,7 @@ class TestRotationCircuit:
         c = rotation_circuit("XIZY", 0.1)
         cnots = [(g.control, g.target) for g in c.gates if g.kind == "CNOT"]
         assert cnots == [(0, 2), (2, 3), (2, 3), (0, 2)]
-        assert not any(1 in g.qubits for g in c.gates)
+        assert not any(1 in (g.control, g.target) for g in c.gates)
 
     def test_all_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -365,7 +387,7 @@ class TestMetrics:
     def test_reduced_at_capacity_one_is_empty(self):
         # |1,1> has no partner in the 2-photon sector when a mode holds one photon.
         c = synthesize(reduced_interaction(FockEncoding(1), 2), 0.7, 3)
-        assert c == Circuit(2, ())
+        assert c == Circuit(2, (), 3)
 
 
 class TestQasmExport:

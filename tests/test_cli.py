@@ -7,8 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from homsim import cli
 from homsim.cli import main
 from homsim.experiments import ExperimentConfig
+from homsim.statevector import NormDriftError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -103,11 +105,23 @@ def test_run_defaults_are_the_config_defaults():
     assert json.loads(result.output)["config"] == asdict(ExperimentConfig())
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("args", [["--exact"], []], ids=["exact", "circuit"])
-def test_overflowed_state_is_an_internal_error(args):
-    # exp(iθw) overflows at θ = 1e308, so the exact amplitudes come out NaN.
+def test_overflowing_theta_is_a_usage_error(args, recwarn):
+    # θ·w overflows at θ = 1e308: the exact oracle cannot evolve the input.
     result = CliRunner().invoke(main, ["run", *args, "--theta", "1e308"])
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+        "error: theta = 1e+308: the phases exp(i·theta·w) are not finite"
+    ]
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_broken_invariant_is_an_internal_error(monkeypatch):
+    def drift(config):
+        raise NormDriftError("norm^2 = nan, off by nan")
+
+    monkeypatch.setattr(cli, "run_hom", drift)
+    result = CliRunner().invoke(main, ["run"])
     assert result.exit_code == 3
     assert "internal error: norm^2 = nan" in result.output
 
