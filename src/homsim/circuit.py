@@ -6,10 +6,16 @@ construction. Rotation gates use the standard half-angle convention
 (RZ(φ) = exp(-iφZ/2)), so exp(-iαP) is emitted as RZ(2α) inside the
 ladder. Output is deterministic for fixed input, down to the QASM text.
 
-``trotter_sequence`` returns one Trotter step, and a ``Circuit`` is that
-step's gates and a repeat count. Validation, gate counts and the QASM text
-are worked out from the step once; depth composes the step's per-qubit
-delays, so no metric walks the repeats.
+A Trotter step depends on θ only through its angles and on the step count
+only through its repeat. ``step_terms`` is the θ-free step, each term with
+its real coefficient; ``bind_angles`` turns it into the angles θ·coeff/steps
+and is the one place they are computed, so an overflowing θ is refused
+there. ``trotter_sequence`` pairs the two into one step, and a ``Circuit``
+is that step's gates and a repeat count. Validation, gate counts and the
+QASM text are worked out from the step once; depth composes the step's
+per-qubit delays, so no metric walks the repeats. A ``StepProfile`` keeps
+the counts and delays of one step, so the metrics of any repeat, and of any
+θ, since angles do not change the gates, walk no gate at all.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its code
 by bit masks, never from axes text. Within one call the CNOT ladder of each
 active mask and the basis changes of each (X, Y) mask pair are built once
@@ -83,22 +89,43 @@ class Circuit:
         return self.step * self.repeat
 
 
-def trotter_sequence(
-    inter: Interaction, theta: float, steps: int
-) -> list[tuple[PauliTerm, float]]:
-    """One step of the first-order product formula: (term, θ·coeff/steps) pairs.
+def step_terms(inter: Interaction) -> list[tuple[PauliTerm, float]]:
+    """The θ-free Trotter step: each term of H with its real coefficient.
 
-    Pure-identity terms only contribute global phase and are skipped.
+    A pure-identity term only contributes global phase and is skipped; codes
+    ascend, so it can only come first.
+    """
+    terms = inter.op.terms
+    if terms and terms[0].code == 0:
+        logger.info("skipping identity term (global phase only): %s", terms[0])
+    return [(term, term.coeff.real) for term in terms if term.code]
+
+
+def bind_angles(
+    step: Sequence[tuple[PauliTerm, float]], theta: float, steps: int
+) -> list[float]:
+    """θ·coeff/steps for each (term, coeff) of ``step_terms``: the one place
+    circuit angles are computed.
+
+    Refuses an angle whose RZ(−2·angle) is not finite, naming θ and steps.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    step = []
-    for term in inter.op.terms:
-        if term.code == 0:
-            logger.info("skipping identity term (global phase only): %s", term)
-            continue
-        step.append((term, theta * term.coeff.real / steps))
-    return step
+    angles = [theta * coeff / steps for _, coeff in step]
+    if not all(math.isfinite(2 * a) for a in angles):
+        raise ValueError(
+            f"theta = {theta!r}, steps = {steps}: "
+            "a circuit angle 2·theta·coeff/steps is not finite"
+        )
+    return angles
+
+
+def trotter_sequence(
+    inter: Interaction, theta: float, steps: int
+) -> list[tuple[PauliTerm, float]]:
+    """One step of the first-order product formula: (term, θ·coeff/steps) pairs."""
+    step = step_terms(inter)
+    return list(zip([term for term, _ in step], bind_angles(step, theta, steps)))
 
 
 def rotation_circuit(axes: str, alpha: float) -> Circuit:
@@ -190,14 +217,39 @@ def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
     return busy
 
 
+def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Max-plus delay rows of a step: row i lists (j, delay) for each qubit j i depends on.
+
+    Layering is max-plus linear in the per-qubit busy vector: a step maps it
+    to busy'[i] = max_j(busy[j] + delay[i][j]). A walk that starts qubit j
+    above any depth one step reaches alone, the rest at 0, reads column j off
+    the qubits that end that high. Every qubit depends on itself, so no row
+    is empty.
+    """
+    sentinel = len(step) + 1
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for j in range(n):
+        start = [0] * n
+        start[j] = sentinel
+        for i, b in enumerate(_layer(step, start)):
+            if b >= sentinel:
+                rows[i].append((j, b - sentinel))
+    return tuple(tuple(row) for row in rows)
+
+
+def _compose(delays: Sequence[Sequence[tuple[int, int]]], repeat: int) -> int:
+    """Depth of ``repeat`` steps from all qubits at 0, by the step's delay rows."""
+    busy = [0] * len(delays)
+    for _ in range(repeat):
+        busy = [max(busy[j] + d for j, d in row) for row in delays]
+    return max(busy, default=0)
+
+
 def _depth(c: Circuit) -> int:
     """Greedy-layering depth of the full sequence, from walks of one step.
 
-    Layering is max-plus linear in the per-qubit busy vector: a step maps it
-    to busy'[i] = max_j(busy[j] + delay[i][j]) over the qubits j that i
-    depends on. A walk that starts qubit j above any depth one step reaches
-    alone, the rest at 0, reads column j off the qubits that end that high.
-    The n_qubits walks cost more than walking up to n_qubits repeats.
+    The n_qubits walks that read the delay rows cost more than walking up
+    to n_qubits repeats, so only a longer circuit composes them.
     """
     n = c.n_qubits
     if c.repeat <= n:
@@ -205,30 +257,49 @@ def _depth(c: Circuit) -> int:
         for _ in range(c.repeat):
             _layer(c.step, busy)
         return max(busy, default=0)
-    sentinel = len(c.step) + 1
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for j in range(n):
-        start = [0] * n
-        start[j] = sentinel
-        for i, b in enumerate(_layer(c.step, start)):
-            if b >= sentinel:
-                rows[i].append((j, b - sentinel))
-    # Every qubit depends on itself, so no row is empty.
-    busy = [0] * n
-    for _ in range(c.repeat):
-        busy = [max(busy[j] + d for j, d in row) for row in rows]
-    return max(busy, default=0)
+    return _compose(_delays(c.step, n), c.repeat)
+
+
+def _metrics(kind_counts: Counter, total: int, repeat: int, depth: int) -> dict:
+    return {
+        "depth": depth,
+        "cx_count": kind_counts["CNOT"] * repeat,
+        "gate_counts": {k: v * repeat for k, v in sorted(kind_counts.items())},
+        "total_gates": total * repeat,
+    }
 
 
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    kind_counts = Counter(g.kind for g in c.step)
-    return {
-        "depth": _depth(c),
-        "cx_count": kind_counts["CNOT"] * c.repeat,
-        "gate_counts": {k: v * c.repeat for k, v in sorted(kind_counts.items())},
-        "total_gates": len(c.step) * c.repeat,
-    }
+    return _metrics(Counter(g.kind for g in c.step), len(c.step), c.repeat, _depth(c))
+
+
+@dataclass(frozen=True)
+class StepProfile:
+    """What ``metrics`` reads of one step, for any repeat: per-kind gate
+    counts, the gate total and the max-plus delay rows.
+
+    ``metrics(r)`` equals ``metrics(Circuit(n, step, r))`` and walks no gate:
+    the counts are multiplied by r and the depth composes the rows r times.
+    """
+
+    kind_counts: Counter
+    total_gates: int
+    delays: tuple[tuple[tuple[int, int], ...], ...]
+
+    def metrics(self, repeat: int) -> dict:
+        if repeat < 1:
+            raise ValueError("repeat must be >= 1")
+        return _metrics(
+            self.kind_counts, self.total_gates, repeat, _compose(self.delays, repeat)
+        )
+
+
+def step_profile(c: Circuit) -> StepProfile:
+    """The ``StepProfile`` of ``c``'s step; ``c.repeat`` is not read."""
+    return StepProfile(
+        Counter(g.kind for g in c.step), len(c.step), _delays(c.step, c.n_qubits)
+    )
 
 
 def export_qasm(c: Circuit) -> str:

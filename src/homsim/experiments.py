@@ -6,10 +6,13 @@ shot histogram, circuit metrics, and fidelity to the exact evolution. The
 exact evolution is computed on the input's photon sector
 (``beamsplitter.sector_evolution``), a matrix of at most N+1 rows, so no
 run builds a dense operator. A circuit run evolves the state by the
-product of Pauli rotations the circuit compiles
-(``statevector.apply_rotations``); the one Trotter step and its count feed
-both that pass and the circuit whose metrics the report carries, and the
-tests cross-check it against running the circuit gate by gate. The circuit
+product of Pauli rotations the circuit compiles (``statevector.evolve``),
+and the tests cross-check it against running the circuit gate by gate.
+Everything a circuit run needs that depends on neither θ nor the step
+count, H, its terms, the rotation tables and the step's gate profile, is
+one ``CompiledStep``; a run binds θ/steps to it for the angles, the
+evolution and the metrics. A sweep compiles once and hands that step to
+every row's ``run_hom``; a lone ``run_hom`` compiles its own. The circuit
 is compiled from the full beam-splitter H, or with ``reduced`` from H
 projected onto the input's 2-photon sector, at any number of qubits per
 mode; the step count and ``reduced`` only shape the circuit, so an exact
@@ -32,6 +35,7 @@ from . import circuit as circ
 from . import statevector as sv
 from .beamsplitter import interaction, reduced_interaction, sector_evolution
 from .gray import FockEncoding, gray_bits
+from .pauli import PauliTerm
 
 # Photons in (mode B, mode A) of the interference input |1,1>.
 INPUT_FOCK = (1, 1)
@@ -110,8 +114,45 @@ def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
     return "".join(gray_bits(encoding, n) for n in fock)
 
 
-def run_hom(config: ExperimentConfig) -> ExperimentReport:
-    """One interference run: prep, evolve, measure statistics."""
+@dataclass(frozen=True, eq=False)
+class CompiledStep:
+    """One Trotter step of a config's H with θ and the step count left unbound.
+
+    It holds what depends only on the encoding and the full/reduced choice:
+    the step's terms with their real coefficients, the rotation pass's
+    tables and the step's gate profile. A run binds θ/steps to it.
+    """
+
+    qubits_per_mode: int
+    reduced: bool
+    terms: tuple[tuple[PauliTerm, float], ...]
+    tables: sv.RotationTables
+    profile: circ.StepProfile
+
+
+def compile_step(config: ExperimentConfig) -> CompiledStep:
+    """The ``CompiledStep`` of ``config``'s H, full or ``reduced``; θ and steps are not read."""
+    encoding = FockEncoding(config.qubits_per_mode)
+    if config.reduced:
+        inter = reduced_interaction(encoding, PHOTONS)
+    else:
+        inter = interaction(encoding)
+    n = inter.op.width
+    terms = circ.step_terms(inter)
+    # The gates take the coefficients as angles; the profile reads no angle.
+    profile = circ.step_profile(circ.trotter_circuit(terms, n, 1))
+    tables = sv.rotation_tables(n, [term for term, _ in terms])
+    return CompiledStep(config.qubits_per_mode, config.reduced, tuple(terms), tables, profile)
+
+
+def run_hom(
+    config: ExperimentConfig, compiled: Optional[CompiledStep] = None
+) -> ExperimentReport:
+    """One interference run: prep, evolve, measure statistics.
+
+    A circuit run binds θ and the step count to ``compiled``, built for the
+    same qubits per mode and full/reduced choice, or compiles its own.
+    """
     encoding = FockEncoding(config.qubits_per_mode)
     n = 2 * config.qubits_per_mode
     exact_state = sv.StateVector(
@@ -120,16 +161,25 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
 
     metrics_out: Optional[dict] = None
     if config.exact:
+        if compiled is not None:
+            raise ValueError("an exact run takes no compiled step")
         out = exact_state
     else:
-        if config.reduced:
-            inter = reduced_interaction(encoding, PHOTONS)
-        else:
-            inter = interaction(encoding)
-        step = circ.trotter_sequence(inter, config.theta, config.trotter_steps)
+        if compiled is None:
+            compiled = compile_step(config)
+        elif (compiled.qubits_per_mode, compiled.reduced) != (
+            config.qubits_per_mode,
+            config.reduced,
+        ):
+            raise ValueError(
+                f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
+                f"reduced={compiled.reduced} does not fit the config"
+            )
+        steps = config.trotter_steps
+        angles = circ.bind_angles(compiled.terms, config.theta, steps)
         initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
-        out = sv.apply_rotations(initial, step, config.trotter_steps)
-        metrics_out = circ.metrics(circ.trotter_circuit(step, n, config.trotter_steps))
+        out = sv.evolve(initial, compiled.tables, angles, steps)
+        metrics_out = compiled.profile.metrics(steps)
 
     probs = sv.probabilities(out)
     prob_map = {
@@ -163,9 +213,11 @@ def sweep_trotter(
     sector.sort(key=lambda fock: fock != INPUT_FOCK)
     labels = [_fock_label(encoding, f) for f in sector if max(f) <= encoding.capacity]
 
+    compiled = compile_step(config)
     rows = []
     for i, steps in enumerate(steps_list):
-        report = run_hom(replace(config, trotter_steps=int(steps), seed=config.seed + i))
+        row_config = replace(config, trotter_steps=int(steps), seed=config.seed + i)
+        report = run_hom(row_config, compiled)
         rows.append(
             {
                 "steps": int(steps),
@@ -191,9 +243,11 @@ def sweep_theta(
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")
     coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
+    compiled = compile_step(config) if use_circuit else None
     rows = []
     for theta in theta_grid:
-        report = run_hom(replace(config, theta=float(theta), exact=not use_circuit))
+        row_config = replace(config, theta=float(theta), exact=not use_circuit)
+        report = run_hom(row_config, compiled)
         rows.append(
             {
                 "theta": float(theta),

@@ -4,7 +4,12 @@ Two ways to evolve a state by a Trotterized Hamiltonian: ``apply_rotations``
 applies each exp(+iαP) of one Trotter step as cos α·ψ + i sin α·Pψ, a few
 vector operations per term, and repeats the step; ``apply_circuit`` runs
 the synthesized circuit gate by gate and is the reference the rotations
-are tested against. ``apply_dense`` applies a full unitary such as
+are tested against. The rotation pass has two parts: ``rotation_tables``
+builds each string's gather index, sign vector and phase, none of which
+depend on the angles, and ``evolve`` binds one set of angles and runs the
+step. A sweep builds the tables once and binds each row's angles to them;
+``apply_rotations`` is both parts in one call, so there is one evolution
+loop. ``apply_dense`` applies a full unitary such as
 ``beamsplitter.exact_unitary``; runs do not take it, the tests compare
 against it.
 
@@ -111,45 +116,78 @@ def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
     return StateVector(s.n_qubits, psi)
 
 
+@dataclass(frozen=True, eq=False)
+class RotationTables:
+    """What the rotation pass needs of one step's Pauli strings, none of it
+    dependent on the angles: per string, in step order, its gather index
+    j ⊕ x, its int8 sign vector (−1)^|z&·| and the constant i·i^|x&z|.
+
+    Strings that share an x mask share one gather array, and strings that
+    share a z mask one sign array, so memory grows with the distinct masks
+    (q² x masks for the beam splitter at q qubits per mode), not with the
+    number of strings.
+    """
+
+    n_qubits: int
+    actions: tuple[tuple[np.ndarray, np.ndarray, complex], ...]
+
+
+def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables:
+    """The ``RotationTables`` of ``terms`` on a register of ``n_qubits``."""
+    n = n_qubits
+    _check_width(n)
+    j = np.arange(2 ** n)
+    parity = _parity(n)
+    rows: dict[int, np.ndarray] = {}
+    signs: dict[int, np.ndarray] = {}
+    actions = []
+    for term in terms:
+        if term.width != n:
+            raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
+        x, z, phase = _action(term)
+        if x not in rows:
+            rows[x] = j ^ x
+        if z not in signs:
+            signs[z] = parity[z & j]
+        actions.append((rows[x], signs[z], 1j * phase))
+    return RotationTables(n, tuple(actions))
+
+
+def evolve(
+    s: StateVector, tables: RotationTables, angles: Sequence[float], repeat: int = 1
+) -> StateVector:
+    """exp(+i·angle·P) for each string of ``tables`` and its angle in order,
+    ``repeat`` times.
+
+    Since P² = I, exp(iαP)ψ = cos α·ψ + i sin α·Pψ, and (Pψ)[j] =
+    i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. cos α and sin α·i·i^|x&z| are worked out
+    once per string, not once per repeat.
+    """
+    if repeat < 1:
+        raise ValueError("repeat must be >= 1")
+    if tables.n_qubits != s.n_qubits:
+        raise ValueError("register width mismatch")
+    weights = [
+        (math.cos(a), math.sin(a) * phase)
+        for a, (_, _, phase) in zip(angles, tables.actions, strict=True)
+    ]
+    psi = s.amplitudes
+    for _ in range(repeat):
+        for (gather, sign, _), (cos, sin_phase) in zip(tables.actions, weights):
+            psi = cos * psi + sin_phase * (sign * psi)[gather]
+    return StateVector(s.n_qubits, psi)
+
+
 def apply_rotations(
     s: StateVector, step: Sequence[tuple[PauliTerm, float]], repeat: int = 1
 ) -> StateVector:
     """exp(+i·angle·P) for each (term, angle) pair in order, ``repeat`` times.
 
     Given a ``circuit.trotter_sequence`` step and its count, this is the
-    unitary ``circuit.synthesize`` compiles. Since P² = I, exp(iαP)ψ = cos α·ψ
-    + i sin α·Pψ, and (Pψ)[j] = i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. The arrays are
-    keyed by what strings share: a gather index j ⊕ x per x mask and an
-    int8 sign vector per z mask, so memory grows with the distinct masks
-    (q² x masks for the beam splitter at q qubits per mode), not with the
-    number of strings; only the constant i·i^|x&z| is kept per string.
+    unitary ``circuit.synthesize`` compiles: the step's tables, then ``evolve``.
     """
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    n = s.n_qubits
-    _check_width(n)
-    j = np.arange(2 ** n)
-    parity = _parity(n)
-    rows: dict[int, np.ndarray] = {}
-    signs: dict[int, np.ndarray] = {}
-    gathers: dict[int, tuple[np.ndarray, np.ndarray, complex]] = {}
-    for term, _ in step:
-        if term.width != n:
-            raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
-        if term.code in gathers:
-            continue
-        x, z, phase = _action(term)
-        if x not in rows:
-            rows[x] = j ^ x
-        if z not in signs:
-            signs[z] = parity[z & j]
-        gathers[term.code] = (rows[x], signs[z], 1j * phase)
-    psi = s.amplitudes
-    for _ in range(repeat):
-        for term, angle in step:
-            gather, sign, phase = gathers[term.code]
-            psi = math.cos(angle) * psi + (math.sin(angle) * phase) * (sign * psi)[gather]
-    return StateVector(n, psi)
+    tables = rotation_tables(s.n_qubits, [term for term, _ in step])
+    return evolve(s, tables, [angle for _, angle in step], repeat)
 
 
 def apply_dense(s: StateVector, m: np.ndarray) -> StateVector:

@@ -19,9 +19,12 @@ from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
     Gate,
+    bind_angles,
     export_qasm,
     metrics,
     rotation_circuit,
+    step_profile,
+    step_terms,
     synthesize,
     trotter_circuit,
     trotter_sequence,
@@ -180,6 +183,29 @@ class TestTrotterSequence:
         step = trotter_sequence(inter, 1.0, steps)
         assert [t for t, _ in step] == [t for t, _ in one]
         assert [a for _, a in step] == [t.coeff.real / steps for t, _ in one]
+
+    @pytest.mark.parametrize("theta, steps", [(0.7, 1), (math.pi / 4, 3), (-1.4, 64)])
+    def test_angles_bind_the_theta_free_step(self, theta, steps):
+        inter = interaction(FockEncoding(3))
+        free = step_terms(inter)
+        assert [(t, c) for t, c in free] == [(t, t.coeff.real) for t in inter.op.terms]
+        assert trotter_sequence(inter, theta, steps) == [
+            (t, a) for (t, _), a in zip(free, bind_angles(free, theta, steps))
+        ]
+
+    @pytest.mark.parametrize("qpm", [3, 4])
+    def test_overflowing_angle_names_theta_and_steps(self, qpm):
+        # θ = 8e307 keeps the exact phases finite, not 2·θ·coeff at these widths.
+        inter = interaction(FockEncoding(qpm))
+        with pytest.raises(ValueError, match=r"^theta = 8e\+307, steps = 1: "):
+            trotter_sequence(inter, 8e307, 1)
+        with pytest.raises(ValueError, match=r"^theta = 8e\+307, steps = 1: "):
+            synthesize(inter, 8e307, 1)
+
+    def test_angle_check_fails_on_nan(self):
+        step = [(PauliTerm.from_label(1.0, "XY"), 0.5)]
+        with pytest.raises(ValueError, match="theta = nan"):
+            bind_angles(step, math.nan, 1)
 
     def test_identity_terms_skipped(self):
         h = Interaction(op=PauliOp.from_label("II", 2.0) + PauliOp.from_label("ZZ", 1.0))
@@ -383,6 +409,24 @@ class TestMetrics:
         full = metrics(synthesize(interaction(enc), 0.7, 1))
         red = metrics(synthesize(reduced_interaction(enc, 2), 0.7, 1))
         assert red["cx_count"] < full["cx_count"]
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
+    def test_step_profile_matches_the_walks(self, qpm, reduced):
+        # Up to n repeats metrics walks the gates, past n it composes delay
+        # rows of its own; the profile composes its rows for every repeat.
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        step = trotter_sequence(inter, 0.7, 1)
+        n = 2 * qpm
+        profile = step_profile(trotter_circuit(step, n, 1))
+        for r in range(1, 2 * n + 2):
+            assert profile.metrics(r) == metrics(trotter_circuit(step, n, r)), r
+
+    def test_step_profile_refuses_repeat_below_one(self):
+        profile = step_profile(rotation_circuit("XY", 0.3))
+        with pytest.raises(ValueError, match="repeat must be >= 1"):
+            profile.metrics(0)
 
     def test_reduced_at_capacity_one_is_empty(self):
         # |1,1> has no partner in the 2-photon sector when a mode holds one photon.

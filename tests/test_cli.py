@@ -116,6 +116,17 @@ def test_overflowing_theta_is_a_usage_error(args, recwarn):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("qpm", ["3", "4"])
+def test_overflowing_circuit_angle_is_a_usage_error(qpm):
+    # θ = 8e307 keeps the exact phases finite; 2·θ·coeff overflows at these widths.
+    result = CliRunner().invoke(main, ["run", "--qubits-per-mode", qpm, "--theta", "8e307"])
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+        "error: theta = 8e+307, steps = 1: a circuit angle 2·theta·coeff/steps is not finite"
+    ]
+    assert "Traceback" not in result.output
+
+
 def test_broken_invariant_is_an_internal_error(monkeypatch):
     def drift(config):
         raise NormDriftError("norm^2 = nan, off by nan")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -7,14 +8,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from homsim import experiments, statevector as sv
+from homsim import circuit, experiments, statevector as sv
 from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
-from homsim.circuit import synthesize
+from homsim.circuit import bind_angles, synthesize, trotter_sequence
 from homsim.cli import main
 from homsim.experiments import (
     MAX_QUBITS_PER_MODE,
     ExperimentConfig,
     circuit_report,
+    compile_step,
     run_hom,
     sweep_theta,
     sweep_trotter,
@@ -205,6 +207,120 @@ class TestRunHom:
     def test_rng_algorithm_recorded(self):
         report = run_hom(ExperimentConfig(exact=True, seed=5))
         assert report.rng == {"algorithm": "numpy-pcg64", "seed": 5}
+
+
+class TestCompiledStep:
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_evolution_is_the_rotation_pass(self, qpm, reduced):
+        # Bit for bit against the per-call tables, to 1e-12 against the gates.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        n = 2 * qpm
+        rng = np.random.default_rng(qpm)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        start = sv.StateVector(n, psi / np.linalg.norm(psi))
+        for theta, steps in [(0.7, 1), (math.pi / 4, 3), (1.4, 5)]:
+            angles = bind_angles(compiled.terms, theta, steps)
+            fast = sv.evolve(start, compiled.tables, angles, steps).amplitudes
+            rotations = sv.apply_rotations(start, trotter_sequence(inter, theta, steps), steps)
+            gates = sv.apply_circuit(start, synthesize(inter, theta, steps))
+            assert fast.tobytes() == rotations.amplitudes.tobytes()
+            np.testing.assert_allclose(fast, gates.amplitudes, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "compiled_for, config",
+        [
+            (ExperimentConfig(), ExperimentConfig(qubits_per_mode=3)),
+            (ExperimentConfig(qubits_per_mode=3), ExperimentConfig()),
+            (ExperimentConfig(), ExperimentConfig(reduced=True)),
+            (ExperimentConfig(reduced=True), ExperimentConfig()),
+        ],
+        ids=["qpm-2-for-3", "qpm-3-for-2", "full-for-reduced", "reduced-for-full"],
+    )
+    def test_step_for_another_config_rejected(self, compiled_for, config):
+        with pytest.raises(ValueError, match="does not fit the config"):
+            run_hom(config, compile_step(compiled_for))
+
+    def test_exact_run_refuses_a_step(self):
+        with pytest.raises(ValueError, match="exact run takes no compiled step"):
+            run_hom(ExperimentConfig(exact=True), compile_step(ExperimentConfig()))
+
+    def test_given_step_reproduces_the_report(self):
+        config = ExperimentConfig(theta=0.9, trotter_steps=6, reduced=True, qubits_per_mode=3)
+        alone = run_hom(config).to_json()
+        assert run_hom(config, compile_step(replace(config, theta=0.1))).to_json() == alone
+
+    @pytest.mark.parametrize("qpm", [3, 4])
+    def test_overflowing_circuit_angle_names_theta(self, qpm):
+        # 8e307 passes the exact oracle (its phases stay finite) but not the
+        # circuit: 2·θ·coeff overflows once a coefficient passes 1.1.
+        config = ExperimentConfig(theta=8e307, qubits_per_mode=qpm)
+        with pytest.raises(ValueError, match=r"^theta = 8e\+307, steps = 1: "):
+            run_hom(config)
+
+    SWEEPS = {
+        "trotter": (
+            lambda: sweep_trotter(ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]), 7
+        ),
+        "theta-circuit": (
+            lambda: sweep_theta(
+                ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True
+            ),
+            9,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SWEEPS)
+    def test_one_compile_per_sweep(self, monkeypatch, name):
+        # H and the step's gates are built once; run_hom still runs per row.
+        calls = {"interaction": 0, "trotter_circuit": 0, "run_hom": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, fn in [(experiments, "interaction"), (circuit, "trotter_circuit"),
+                           (experiments, "run_hom")]:
+            monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+        sweep, rows = self.SWEEPS[name]
+        sweep()
+        assert calls == {"interaction": 1, "trotter_circuit": 1, "run_hom": rows}
+
+    @pytest.mark.parametrize(
+        "sweep, digest",
+        [
+            (
+                lambda: sweep_trotter(ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]),
+                "e1a582f19fc2343203b759822f8cc6fe334301347bd440079ea7da99f84d4b99",
+            ),
+            (
+                lambda: sweep_trotter(
+                    ExperimentConfig(theta=0.7, qubits_per_mode=3), [1, 2, 4, 8]
+                ),
+                "6b7dc615d03a220748bd692139e977fee73d48ea6e9ac945895adffd22e21009",
+            ),
+            (
+                lambda: sweep_trotter(
+                    ExperimentConfig(theta=0.7, qubits_per_mode=3, reduced=True), [1, 3, 5]
+                ),
+                "88aaf1c097b2a2cd44b8ccd9830acc437a35670684fa95b84461972d9e0b0445",
+            ),
+            (
+                lambda: sweep_theta(
+                    ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True
+                ),
+                "fcbb9c7a496cc0bfdca0e8cb5ed6691b1ae598419577a5c18a7c4e73eb63a5c5",
+            ),
+        ],
+        ids=["trotter-q2", "trotter-q3", "trotter-q3-reduced", "theta-circuit-q2"],
+    )
+    def test_sweep_rows_unchanged(self, sweep, digest):
+        # Digests of the rows computed while every row rebuilt H and its step.
+        assert hashlib.sha256(json.dumps(sweep()).encode()).hexdigest() == digest
 
 
 class TestSweepTrotter:

@@ -260,6 +260,16 @@ class TestApplyRotations:
         with pytest.raises(ValueError, match="repeat must be >= 1"):
             apply_rotations(init_basis(2, "00"), step, 0)
 
+    def test_evolve_refuses_tables_of_another_register(self):
+        tables = sv.rotation_tables(3, [PauliTerm.from_label(1.0, "XYZ")])
+        with pytest.raises(ValueError, match="register width mismatch"):
+            sv.evolve(init_basis(2, "00"), tables, [0.1])
+
+    def test_evolve_needs_one_angle_per_string(self):
+        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")] * 2)
+        with pytest.raises(ValueError):
+            sv.evolve(init_basis(2, "00"), tables, [0.1])
+
     def test_width_cap_matches_gate_path(self, monkeypatch):
         monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
         s = init_basis(4, "0000")
