@@ -12,16 +12,15 @@ its real coefficient; ``bind_angles`` turns it into the angles θ·coeff/steps
 and is the one place they are computed, so an overflowing θ is refused
 there. ``trotter_sequence`` pairs the two into one step, and a ``Circuit``
 is that step's gates and a repeat count. Validation, gate counts and the
-QASM text are worked out from the step once; depth composes the step's
-per-qubit delays, so no metric walks the repeats. A ``StepProfile`` keeps
-the counts and delays of one step, so the metrics of any repeat, and of any
-θ, since angles do not change the gates, walk no gate at all.
+QASM text are worked out from the step once. A ``StepProfile`` is the one
+metrics path: it walks the step for up to n repeats and past that composes
+the step's per-qubit max-plus delays, built on first need and kept.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its code
 by bit masks, never from axes text. Within one call the CNOT ladder of each
 active mask and the basis changes of each (X, Y) mask pair are built once
-and shared by every term with those masks, and every angle-free gate
-(H, RX(±π/2), CNOT) is one shared object. So a step holds one fresh gate
-per term plus at most 3n + n(n−1) shared ones, and the QASM text of each
+and shared by every term with those masks, and every gate, each term's RZ
+(or RX) included, is one shared object per distinct kind, qubits and
+angle, a signed zero angle keeping its sign. So the QASM text of each
 distinct gate object is formatted once. ``rotation_circuit`` is the
 one-term case of the same path.
 """
@@ -30,7 +29,8 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .beamsplitter import Interaction
@@ -157,17 +157,20 @@ def trotter_circuit(
     RX(−2·angle). With D = (4^n − 1)/3 the low bit of every digit, low =
     code & D and high = code >> 1 & D give active = low | high, X = low &
     ~high and Y = high & ~low. The ladder pair is kept per active mask and
-    the basis-change pair per (X, Y), so a term builds only its RZ (or RX).
+    the basis-change pair per (X, Y), and every gate comes from one cache
+    of shared objects, so a term builds at most its RZ (or RX).
     """
     n = n_qubits
     digits = (4 ** n - 1) // 3
     bits = [(q, 1 << 2 * (n - 1 - q)) for q in range(n)]
     shared: dict[tuple, Gate] = {}
 
-    def gate(*args) -> Gate:
-        g = shared.get(args)
+    def gate(kind: str, target: int, control=None, angle=None) -> Gate:
+        # 0.0 == -0.0 as keys, yet they print as 0 and -0: the sign is keyed too.
+        key = (kind, target, control, angle, angle is not None and math.copysign(1, angle) < 0)
+        g = shared.get(key)
         if g is None:
-            g = shared[args] = Gate(*args)
+            g = shared[key] = Gate(kind, target, control, angle)
         return g
 
     ladders: dict[int, tuple[list[Gate], list[Gate]]] = {}
@@ -184,7 +187,7 @@ def trotter_circuit(
         last = n - 1 - ((active & -active).bit_length() >> 1)
         x, y = low & ~high, high & ~low
         if x == active and not active & (active - 1):
-            gates.append(Gate("RX", last, angle=-2 * angle))
+            gates.append(gate("RX", last, None, -2 * angle))
             continue
         ladder = ladders.get(active)
         if ladder is None:
@@ -199,7 +202,7 @@ def trotter_circuit(
             basis = bases[x, y] = (pre, post)
         gates += basis[0]
         gates += ladder[0]
-        gates.append(Gate("RZ", last, angle=-2 * angle))
+        gates.append(gate("RZ", last, None, -2 * angle))
         gates += ladder[1]
         gates += basis[1]
     return Circuit(n, tuple(gates), steps)
@@ -237,69 +240,56 @@ def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(tuple(row) for row in rows)
 
 
-def _compose(delays: Sequence[Sequence[tuple[int, int]]], repeat: int) -> int:
-    """Depth of ``repeat`` steps from all qubits at 0, by the step's delay rows."""
-    busy = [0] * len(delays)
-    for _ in range(repeat):
-        busy = [max(busy[j] + d for j, d in row) for row in delays]
-    return max(busy, default=0)
+@dataclass(frozen=True)
+class StepProfile:
+    """The metrics of ``step`` repeated any number of times on ``n_qubits``.
 
-
-def _depth(c: Circuit) -> int:
-    """Greedy-layering depth of the full sequence, from walks of one step.
-
-    The n_qubits walks that read the delay rows cost more than walking up
-    to n_qubits repeats, so only a longer circuit composes them.
+    Depth is greedy layering, disjoint qubits commuting. The step's max-plus
+    delay rows take n_qubits walks to build, so up to n_qubits repeats
+    ``metrics`` walks the step that many times and past that composes the
+    rows, built on first need and kept, as are the per-kind counts and the
+    depth of each repeat asked for (a θ sweep asks for one every row).
     """
-    n = c.n_qubits
-    if c.repeat <= n:
-        busy = [0] * n
-        for _ in range(c.repeat):
-            _layer(c.step, busy)
-        return max(busy, default=0)
-    return _compose(_delays(c.step, n), c.repeat)
 
+    n_qubits: int
+    step: tuple[Gate, ...]
+    _depths: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-def _metrics(kind_counts: Counter, total: int, repeat: int, depth: int) -> dict:
-    return {
-        "depth": depth,
-        "cx_count": kind_counts["CNOT"] * repeat,
-        "gate_counts": {k: v * repeat for k, v in sorted(kind_counts.items())},
-        "total_gates": total * repeat,
-    }
+    @cached_property
+    def _kinds(self) -> Counter:
+        return Counter(g.kind for g in self.step)
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _delays(self.step, self.n_qubits)
+
+    def metrics(self, repeat: int) -> dict:
+        """Depth, CX count, per-kind and total gate counts of ``repeat`` steps."""
+        if repeat < 1:
+            raise ValueError("repeat must be >= 1")
+        depth = self._depths.get(repeat)
+        if depth is None:
+            busy = [0] * self.n_qubits
+            if repeat <= self.n_qubits:
+                for _ in range(repeat):
+                    _layer(self.step, busy)
+            else:
+                rows = self._rows
+                for _ in range(repeat):
+                    busy = [max(busy[j] + d for j, d in row) for row in rows]
+            depth = self._depths[repeat] = max(busy, default=0)
+        kinds = self._kinds
+        return {
+            "depth": depth,
+            "cx_count": kinds["CNOT"] * repeat,
+            "gate_counts": {k: v * repeat for k, v in sorted(kinds.items())},
+            "total_gates": len(self.step) * repeat,
+        }
 
 
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    return _metrics(Counter(g.kind for g in c.step), len(c.step), c.repeat, _depth(c))
-
-
-@dataclass(frozen=True)
-class StepProfile:
-    """What ``metrics`` reads of one step, for any repeat: per-kind gate
-    counts, the gate total and the max-plus delay rows.
-
-    ``metrics(r)`` equals ``metrics(Circuit(n, step, r))`` and walks no gate:
-    the counts are multiplied by r and the depth composes the rows r times.
-    """
-
-    kind_counts: Counter
-    total_gates: int
-    delays: tuple[tuple[tuple[int, int], ...], ...]
-
-    def metrics(self, repeat: int) -> dict:
-        if repeat < 1:
-            raise ValueError("repeat must be >= 1")
-        return _metrics(
-            self.kind_counts, self.total_gates, repeat, _compose(self.delays, repeat)
-        )
-
-
-def step_profile(c: Circuit) -> StepProfile:
-    """The ``StepProfile`` of ``c``'s step; ``c.repeat`` is not read."""
-    return StepProfile(
-        Counter(g.kind for g in c.step), len(c.step), _delays(c.step, c.n_qubits)
-    )
+    return StepProfile(c.n_qubits, c.step).metrics(c.repeat)
 
 
 def export_qasm(c: Circuit) -> str:

@@ -42,7 +42,8 @@ INPUT_FOCK = (1, 1)
 PHOTONS = sum(INPUT_FOCK)
 
 # The widest register whose circuit run is measured: a 1-step run_hom takes
-# 4.4 s and 93 MB peak RSS on a shared 2-core host (one BLAS thread).
+# 3.5–4.0 s and 101 MB peak RSS in its own process on a shared 2-core host
+# (one BLAS thread).
 MAX_QUBITS_PER_MODE = 6
 
 # Declared config field type (a string under postponed annotations) ->
@@ -120,7 +121,9 @@ class CompiledStep:
 
     It holds what depends only on the encoding and the full/reduced choice:
     the step's terms with their real coefficients, the rotation pass's
-    tables and the step's gate profile. A run binds θ/steps to it.
+    tables and the ``StepProfile`` of the step's gates, whose delay rows
+    are built only when a run asks for more repeats than qubits. A run binds
+    θ/steps to it.
     """
 
     qubits_per_mode: int
@@ -140,7 +143,7 @@ def compile_step(config: ExperimentConfig) -> CompiledStep:
     n = inter.op.width
     terms = circ.step_terms(inter)
     # The gates take the coefficients as angles; the profile reads no angle.
-    profile = circ.step_profile(circ.trotter_circuit(terms, n, 1))
+    profile = circ.StepProfile(n, circ.trotter_circuit(terms, n, 1).step)
     tables = sv.rotation_tables(n, [term for term, _ in terms])
     return CompiledStep(config.qubits_per_mode, config.reduced, tuple(terms), tables, profile)
 

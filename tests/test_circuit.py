@@ -19,11 +19,11 @@ from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     Circuit,
     Gate,
+    StepProfile,
     bind_angles,
     export_qasm,
     metrics,
     rotation_circuit,
-    step_profile,
     step_terms,
     synthesize,
     trotter_circuit,
@@ -355,17 +355,45 @@ class TestSharedGates:
         )
         assert synthesize(inter, 0.7, 1).step == unshared
 
-    @pytest.mark.parametrize("qpm", [3, 4])
-    def test_one_fresh_gate_per_term(self, qpm):
-        inter = interaction(FockEncoding(qpm))
+    @pytest.mark.parametrize("qpm", [3, 4, 5])
+    def test_one_object_per_distinct_gate(self, qpm):
+        # Gates that print alike are one object, the per-term RZ and lone-X RX
+        # included; repr keeps RZ(0) and RZ(-0) apart, as the QASM text does.
+        c = synthesize(interaction(FockEncoding(qpm)), 0.7, 1)
+        distinct = {(g.kind, g.target, g.control, repr(g.angle)) for g in c.step}
+        assert len({id(g) for g in c.step}) == len(distinct)
+
+    def test_five_qubits_per_mode_step_has_fewer_gates_than_terms(self):
+        # 12,875 distinct gate objects with a fresh RZ/RX per term, 1,933 shared.
+        inter = interaction(FockEncoding(5))
         c = synthesize(inter, 0.7, 1)
-        n = c.n_qubits
-        shared_bound = 3 * n + n * (n - 1)  # H, RX(±π/2) per qubit; CNOT per ordered pair
-        assert len({id(g) for g in c.step}) <= len(inter.op) + shared_bound
+        assert len({id(g) for g in c.step}) < len(inter.op) == 12_800
+
+    @pytest.mark.parametrize(
+        "reduced, qpm, theta, digest",
+        [
+            (False, 2, 0.0, "73ba3696621be1d05beeb9156712c88c4936d5637496f2d6d835c7cf5c9f43e9"),
+            (False, 2, -0.0, "79dd7ecc00ffdb1e8d8f4b4b0f7bc78f6a645400959878b71dfedfcb6f9581ad"),
+            (False, 3, 0.0, "3c326bdc112992b996c287706425bb2d6d3706abaf9c7dad2acdecfd885713d2"),
+            (False, 3, -0.0, "c5256b10dd0d2d2ba510cf204e99cb72778f6b560091a061622aabd1d6d5a6d5"),
+            (True, 2, 0.0, "cdaf41ed1bb5203f3d32df684f3d8fb234136f365056267ef5a8a51f6fd4aaaf"),
+            (True, 2, -0.0, "7e5b31273e65724c0679336dfe59b0731b7cc4753e89022616e937a2d6ec55b3"),
+            (True, 3, 0.0, "af8980ef24292cb8418eedb9a53b986ead9a8ef7e8d31c755b4e628415c9f973"),
+            (True, 3, -0.0, "80de90a059e22b833a0e10e01005402b4f220f8ebc8351dd0910defe3fb3765a"),
+        ],
+    )
+    def test_signed_zero_qasm_unchanged(self, reduced, qpm, theta, digest):
+        # θ = ±0 gives angles 0.0 and −0.0, printed rz(0) and rz(-0); digests
+        # of the 3-step QASM emitted while each term built a fresh RZ/RX.
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        text = export_qasm(synthesize(inter, theta, 3))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_synthesis_memory(self):
         # tracemalloc peak of a 1-step qpm=4 synthesize (26,624 gates): 2.39 MB
-        # with a fresh Gate per slot, 0.60 MB with the angle-free gates shared.
+        # with a fresh Gate per slot, 0.97 MB with a fresh RZ/RX per term and
+        # the rest shared, 0.77–0.81 MB with every gate shared (Python 3.11).
         inter = interaction(FockEncoding(4))
         tracemalloc.start()
         try:
@@ -413,18 +441,21 @@ class TestMetrics:
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
     def test_step_profile_matches_the_walks(self, qpm, reduced):
-        # Up to n repeats metrics walks the gates, past n it composes delay
-        # rows of its own; the profile composes its rows for every repeat.
+        # One profile for every repeat: up to n it walks the step, past n it
+        # composes the delay rows it built at n + 1; a second pass reads the
+        # depths it kept.
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
-        step = trotter_sequence(inter, 0.7, 1)
         n = 2 * qpm
-        profile = step_profile(trotter_circuit(step, n, 1))
-        for r in range(1, 2 * n + 2):
-            assert profile.metrics(r) == metrics(trotter_circuit(step, n, r)), r
+        step = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1).step
+        profile = StepProfile(n, step)
+        repeats = range(1, 2 * n + 2)
+        want = [layered_metrics(Circuit(n, step * r)) for r in repeats]
+        for _ in range(2):
+            assert [profile.metrics(r) for r in repeats] == want
 
     def test_step_profile_refuses_repeat_below_one(self):
-        profile = step_profile(rotation_circuit("XY", 0.3))
+        profile = StepProfile(2, rotation_circuit("XY", 0.3).step)
         with pytest.raises(ValueError, match="repeat must be >= 1"):
             profile.metrics(0)
 

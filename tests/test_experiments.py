@@ -291,6 +291,33 @@ class TestCompiledStep:
         assert calls == {"interaction": 1, "trotter_circuit": 1, "run_hom": rows}
 
     @pytest.mark.parametrize(
+        "run, builds",
+        [
+            (lambda: run_hom(ExperimentConfig(trotter_steps=1)), 0),
+            (lambda: run_hom(ExperimentConfig(trotter_steps=4)), 0),
+            (lambda: run_hom(ExperimentConfig(trotter_steps=5)), 1),
+            (lambda: sweep_trotter(ExperimentConfig(), [1, 2, 4, 8, 16, 32, 64]), 1),
+        ],
+        ids=["lone-1", "lone-2qpm", "lone-2qpm+1", "sweep"],
+    )
+    def test_delay_rows_built_only_past_n_repeats(self, monkeypatch, run, builds):
+        # Up to n = 2·qpm repeats the depth walks the step; the n walks of the
+        # delay rows are made once, when a run first asks for more.
+        calls = []
+        delays = circuit._delays
+        monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
+        run()
+        assert len(calls) == builds
+
+    def test_circuit_theta_sweep_walks_its_step_once_per_repeat(self, monkeypatch):
+        # Every row asks for the depth of the same 3 repeats: walked once, not per row.
+        calls = []
+        layer = circuit._layer
+        monkeypatch.setattr(circuit, "_layer", lambda *a: calls.append(1) or layer(*a))
+        sweep_theta(ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize(
         "sweep, digest",
         [
             (
