@@ -45,8 +45,9 @@ def interaction(encoding: FockEncoding) -> Interaction:
     """
     b_dag, q = creation_op(encoding).terms, encoding.qubits_per_mode
     parity: tuple[list, list] = ([], [])
-    for p in b_dag:  # a Y digit is (high, low) = (1, 0)
-        parity[(p.code >> 1 & ~p.code & (4 ** q - 1) // 3).bit_count() & 1].append(p)
+    for p in b_dag:
+        x, z = p.xz  # a Y is x = z = 1
+        parity[(x & z).bit_count() & 1].append(p)
     t = (
         (p.code << 2 * q | r.code, p.coeff * r.coeff.conjugate())
         for same in parity for p, r in product(same, same)

@@ -9,16 +9,18 @@ ladder. Output is deterministic for fixed input, down to the QASM text.
 A Trotter step depends on θ only through its angles and on the step count
 only through its repeat. ``step_terms`` is the θ-free step, each term with
 its real coefficient; ``bind_angles`` turns it into the angles θ·coeff/steps
-and is the one place they are computed, so an overflowing θ is refused
-there. ``trotter_sequence`` pairs the two into one step, and a ``Circuit``
-is that step's gates and a repeat count. Validation, gate counts and the
+and is the one place they are computed, so an overflowing θ and more
+than ``MAX_ROTATIONS`` rotations are refused there. ``trotter_sequence``
+pairs the two into one step, and a ``Circuit`` is that step's gates and a
+repeat count. Validation, gate counts and the
 QASM text are worked out from the step once. A ``StepProfile`` is the one
 metrics path: it walks the step for up to n repeats and past that composes
 the step's per-qubit max-plus delays, built on first need and kept.
-``trotter_circuit`` reads each term's X, Y and active qubits from its code
-by bit masks, never from axes text. Within one call the CNOT ladder of each
-active mask and the basis changes of each (X, Y) mask pair are built once
-and shared by every term with those masks, and every gate, each term's RZ
+``trotter_circuit`` reads each term's X, Y and active qubits from its
+``PauliTerm.xz`` masks, never from axes text or the code's digits. Within
+one call the CNOT ladder and last qubit of each active mask and the basis
+changes of each (X, Y) mask pair are built once and shared by every term
+with those masks, and every gate, each term's RZ
 (or RX) included, is one shared object per distinct kind, qubits and
 angle, a signed zero angle keeping its sign. So the QASM text of each
 distinct gate object is formatted once. ``rotation_circuit`` is the
@@ -39,6 +41,10 @@ from .pauli import PauliTerm
 logger = logging.getLogger(__name__)
 
 GATE_KINDS = ("H", "RX", "RZ", "CNOT")
+
+# Most rotations (steps × terms) one bind may ask for: 8,192 steps at 2 qubits
+# per mode, 20 at 5 (about 61 MB of QASM), 3 at 6; each run takes seconds.
+MAX_ROTATIONS = 2 ** 18
 
 
 @dataclass(frozen=True)
@@ -107,10 +113,16 @@ def bind_angles(
     """θ·coeff/steps for each (term, coeff) of ``step_terms``: the one place
     circuit angles are computed.
 
-    Refuses an angle whose RZ(−2·angle) is not finite, naming θ and steps.
+    Refuses more than ``MAX_ROTATIONS`` rotations in all, naming steps, the
+    term count and the cap, and an angle whose RZ(−2·angle) is not finite,
+    naming θ and steps.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps * len(step) > MAX_ROTATIONS:
+        raise ValueError(
+            f"steps = {steps} times {len(step)} terms is more than {MAX_ROTATIONS} rotations"
+        )
     angles = [theta * coeff / steps for _, coeff in step]
     if not all(math.isfinite(2 * a) for a in angles):
         raise ValueError(
@@ -154,15 +166,14 @@ def trotter_circuit(
     beam splitter's +iθ: basis changes map every active qubit to Z, a CNOT
     ladder chains the active qubits in ascending index, RZ(−2·angle) lands
     on the last active qubit, then everything mirrors back; a lone X is one
-    RX(−2·angle). With D = (4^n − 1)/3 the low bit of every digit, low =
-    code & D and high = code >> 1 & D give active = low | high, X = low &
-    ~high and Y = high & ~low. The ladder pair is kept per active mask and
-    the basis-change pair per (X, Y), and every gate comes from one cache
-    of shared objects, so a term builds at most its RZ (or RX).
+    RX(−2·angle). The masks (x, z) = ``term.xz`` give active = x | z and
+    Y = x & z; X = x & ~z is the rest of x. The ladder pair and last qubit
+    are kept per active mask and the basis-change pair per (x, Y), and every
+    gate comes from one cache of shared objects, so a term builds at most
+    its RZ (or RX).
     """
     n = n_qubits
-    digits = (4 ** n - 1) // 3
-    bits = [(q, 1 << 2 * (n - 1 - q)) for q in range(n)]
+    bits = [(q, 1 << n - 1 - q) for q in range(n)]
     shared: dict[tuple, Gate] = {}
 
     def gate(kind: str, target: int, control=None, angle=None) -> Gate:
@@ -173,37 +184,38 @@ def trotter_circuit(
             g = shared[key] = Gate(kind, target, control, angle)
         return g
 
-    ladders: dict[int, tuple[list[Gate], list[Gate]]] = {}
+    ladders: dict[int, tuple[list[Gate], list[Gate], int]] = {}
     bases: dict[tuple[int, int], tuple[list[Gate], list[Gate]]] = {}
     gates: list[Gate] = []
     for term, angle in step:
         if term.width != n:
             raise ValueError(f"term {term.axes} outside register of {n}")
-        code = term.code
-        low, high = code & digits, code >> 1 & digits
-        active = low | high
-        if not active:
-            raise ValueError("all-identity string has no rotation circuit")
-        last = n - 1 - ((active & -active).bit_length() >> 1)
-        x, y = low & ~high, high & ~low
-        if x == active and not active & (active - 1):
-            gates.append(gate("RX", last, None, -2 * angle))
-            continue
+        x, z = term.xz
+        active = x | z
         ladder = ladders.get(active)
         if ladder is None:
+            if not active:
+                raise ValueError("all-identity string has no rotation circuit")
             qs = [q for q, b in bits if active & b]
             run = [gate("CNOT", t, c) for c, t in zip(qs, qs[1:])]
-            ladder = ladders[active] = (run, run[::-1])
+            ladder = ladders[active] = (run, run[::-1], qs[-1])
+        run, back, last = ladder
+        if not z and not run:  # a lone X
+            gates.append(gate("RX", last, None, -2 * angle))
+            continue
+        y = x & z
         basis = bases.get((x, y))
         if basis is None:
-            xy = [(q, x & b) for q, b in bits if (x | y) & b]
-            pre = [gate("H", q) if h else gate("RX", q, None, math.pi / 2) for q, h in xy]
-            post = [gate("H", q) if h else gate("RX", q, None, -math.pi / 2) for q, h in xy[::-1]]
+            xy = [(q, y & b) for q, b in bits if x & b]
+            pre = [gate("RX", q, None, math.pi / 2) if is_y else gate("H", q) for q, is_y in xy]
+            post = [
+                gate("RX", q, None, -math.pi / 2) if is_y else gate("H", q) for q, is_y in xy[::-1]
+            ]
             basis = bases[x, y] = (pre, post)
         gates += basis[0]
-        gates += ladder[0]
+        gates += run
         gates.append(gate("RZ", last, None, -2 * angle))
-        gates += ladder[1]
+        gates += back
         gates += basis[1]
     return Circuit(n, tuple(gates), steps)
 

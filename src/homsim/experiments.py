@@ -51,6 +51,9 @@ MAX_QUBITS_PER_MODE = 6
 # makes it an int.
 _ACCEPTED = {"float": (int, float), "int": int, "bool": bool}
 
+# The most shots numpy's multinomial draws: its count is a C long.
+MAX_SHOTS = 2 ** 63 - 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -70,8 +73,8 @@ class ExperimentConfig:
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
         if self.trotter_steps < 1:
             raise ValueError("trotter_steps must be >= 1")
-        if self.shots < 1:
-            raise ValueError("shots must be >= 1")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"shots must be in [1, {MAX_SHOTS}]")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if not 1 <= self.qubits_per_mode <= MAX_QUBITS_PER_MODE:

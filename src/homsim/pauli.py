@@ -4,7 +4,11 @@ A Pauli string on n qubits is one integer ``code``: two bits per qubit,
 qubit 0 in the top bits, I, X, Y, Z = 0, 1, 2, 3. "XZIY" (X on qubit 0) is
 0b01_11_00_10, and sorting codes sorts labels. A digit (high, low) is the
 symplectic pair x = low ^ high, z = high, with P = i^|x&z|·X^x·Z^z
-(Aaronson & Gottesman, PRA 70, 052328 (2004)). A product's string is
+(Aaronson & Gottesman, PRA 70, 052328 (2004)). ``PauliTerm.xz`` is the one
+place a code's digits become these masks (qubit q at bit width−1−q, as in
+an amplitude index), a table lookup per byte; the algebra, the dense
+matrices, the rotation pass, the circuit emitter and the H build all read
+their masks from it. A product's string is
 code₁ ^ code₂, its phase i^(|x₁&z₁| + |x₂&z₂| − |x₃&z₃| + 2|z₁&x₂|), exact in
 {1, i, −1, −i}. Dense matrices (qubit 0 = most significant bit) and the
 statevector's Pauli rotations follow from P|j⟩ = i^|x&z|·(−1)^|z&j|·|j⊕x⟩;
@@ -30,6 +34,15 @@ MAX_DENSE_QUBITS = 12
 
 _PHASE = (1, 1j, -1, -1j)
 
+# Byte b of a code (four digits) -> its (x, z) nibbles, top digit at the top bit.
+_XZ_NIBBLES = tuple(
+    (
+        sum(((d ^ d >> 1) & 1) << k for k, d in enumerate(digits)),
+        sum((d >> 1) << k for k, d in enumerate(digits)),
+    )
+    for digits in ([b >> 2 * k & 3 for k in range(4)] for b in range(256))
+)
+
 
 @dataclass(frozen=True)
 class PauliTerm:
@@ -54,10 +67,13 @@ class PauliTerm:
 
     @property
     def xz(self) -> tuple[int, int]:
-        """Symplectic bit masks, qubit q at bit width-1-q."""
-        digits = [self.code >> 2 * k & 3 for k in range(self.width)]
-        x = sum(((d >> 1) ^ (d & 1)) << k for k, d in enumerate(digits))
-        return x, sum((d >> 1) << k for k, d in enumerate(digits))
+        """Symplectic bit masks (x, z), qubit q at bit width-1-q; a lookup per byte."""
+        x = z = 0
+        for b in self.code.to_bytes((self.width + 3) // 4, "big"):
+            bx, bz = _XZ_NIBBLES[b]
+            x = x << 4 | bx
+            z = z << 4 | bz
+        return x, z
 
     def __mul__(self, other: "PauliTerm") -> "PauliTerm":
         if self.width != other.width:

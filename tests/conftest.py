@@ -81,6 +81,16 @@ def listed_creation(enc: FockEncoding) -> PauliOp:
     return out
 
 
+def digit_xz(code: int, width: int) -> tuple[int, int]:
+    """Reference ``PauliTerm.xz``: each digit (high, low) decoded on its own.
+
+    x = low ^ high and z = high, digit k (qubit width-1-k) at bit k.
+    """
+    digits = [code >> 2 * k & 3 for k in range(width)]
+    x = sum(((d >> 1) ^ (d & 1)) << k for k, d in enumerate(digits))
+    return x, sum((d >> 1) << k for k, d in enumerate(digits))
+
+
 def exact_terms(op: PauliOp) -> str:
     """Width, codes and coefficient reprs: a −0.0 or a dropped term shows."""
     return repr((op.width, [(t.code, repr(t.coeff), t.width) for t in op.terms]))
@@ -122,6 +132,20 @@ def reference_rotation_gates(axes: str, alpha: float) -> list[Gate]:
 def phase_fidelity(u: np.ndarray, v: np.ndarray) -> float:
     """|tr(U† V)| / dim: 1 iff U and V agree up to global phase."""
     return abs(np.trace(u.conj().T @ v)) / u.shape[0]
+
+
+@pytest.fixture
+def xz_reads(monkeypatch):
+    """The terms whose ``xz`` masks are read from here on, in order."""
+    reads: list[PauliTerm] = []
+    decode = PauliTerm.xz.fget
+
+    def counted(term):
+        reads.append(term)
+        return decode(term)
+
+    monkeypatch.setattr(PauliTerm, "xz", property(counted))
+    return reads
 
 
 @pytest.fixture

@@ -87,6 +87,16 @@ class TestInteraction:
         assert len(interaction(enc).op) > 0
         assert calls == {"tensor": 0, "adjoint": 0, "__add__": 0}
 
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 5])
+    def test_y_parity_read_once_per_creation_term(self, monkeypatch, xz_reads, qpm):
+        # Each b† term's Y count comes from its xz masks, read once and in order.
+        enc = FockEncoding(qpm)
+        b_dag = creation_op(enc)
+        monkeypatch.setattr(beamsplitter, "creation_op", lambda _: b_dag)
+        xz_reads.clear()
+        interaction(enc)
+        assert xz_reads == list(b_dag.terms)
+
     @pytest.mark.parametrize("qpm", range(1, 7))
     def test_equals_the_sum_over_every_pair(self, qpm):
         enc = FockEncoding(qpm)

@@ -17,6 +17,7 @@ from conftest import (
 )
 from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
+    MAX_ROTATIONS,
     Circuit,
     Gate,
     StepProfile,
@@ -202,6 +203,20 @@ class TestTrotterSequence:
         with pytest.raises(ValueError, match=r"^theta = 8e\+307, steps = 1: "):
             synthesize(inter, 8e307, 1)
 
+    def test_rotations_capped(self):
+        step = [(PauliTerm.from_label(1.0, "XY"), 0.5)]
+        assert len(bind_angles(step, 0.3, MAX_ROTATIONS)) == 1
+        refused = rf"^steps = {MAX_ROTATIONS + 1} times 1 terms is more than {MAX_ROTATIONS} rotations$"
+        with pytest.raises(ValueError, match=refused):
+            bind_angles(step, 0.3, MAX_ROTATIONS + 1)
+
+    @pytest.mark.parametrize("qpm, most_steps", [(2, 8192), (5, 20), (6, 3)])
+    def test_most_steps_per_width(self, qpm, most_steps):
+        step = step_terms(interaction(FockEncoding(qpm)))
+        assert len(bind_angles(step, 0.3, most_steps)) == len(step)
+        with pytest.raises(ValueError, match=rf"^steps = {most_steps + 1} times {len(step)} terms"):
+            bind_angles(step, 0.3, most_steps + 1)
+
     def test_angle_check_fails_on_nan(self):
         step = [(PauliTerm.from_label(1.0, "XY"), 0.5)]
         with pytest.raises(ValueError, match="theta = nan"):
@@ -362,6 +377,17 @@ class TestSharedGates:
         c = synthesize(interaction(FockEncoding(qpm)), 0.7, 1)
         distinct = {(g.kind, g.target, g.control, repr(g.angle)) for g in c.step}
         assert len({id(g) for g in c.step}) == len(distinct)
+
+    @pytest.mark.parametrize("qpm", [2, 3])
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_masks_read_once_per_term(self, xz_reads, qpm, reduced):
+        # The emitter takes X, Y and active qubits from xz, decoding nothing itself.
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        step = trotter_sequence(inter, 0.7, 1)
+        xz_reads.clear()
+        trotter_circuit(step, 2 * qpm, 1)
+        assert xz_reads == [term for term, _ in step]
 
     def test_five_qubits_per_mode_step_has_fewer_gates_than_terms(self):
         # 12,875 distinct gate objects with a fresh RZ/RX per term, 1,933 shared.

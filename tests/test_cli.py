@@ -127,6 +127,32 @@ def test_overflowing_circuit_angle_is_a_usage_error(qpm):
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        (
+            ["run", "--steps", str(10**20)],
+            f"error: steps = {10**20} times 32 terms is more than 262144 rotations",
+        ),
+        (
+            ["circuit-report", "--qubits-per-mode", "5", "--steps", "1000"],
+            "error: steps = 1000 times 12800 terms is more than 262144 rotations",
+        ),
+        (
+            ["run", "--exact", "--shots", str(10**20)],
+            f"error: shots must be in [1, {2**63 - 1}]",
+        ),
+    ],
+    ids=["run-steps", "circuit-report-steps", "exact-shots"],
+)
+def test_unbounded_work_is_a_usage_error(args, error):
+    # Each would run for hours, build gigabytes of QASM or overflow numpy's draw.
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2
+    assert [line for line in result.output.splitlines() if line.startswith("error:")] == [error]
+    assert "Traceback" not in result.output
+
+
 def test_broken_invariant_is_an_internal_error(monkeypatch):
     def drift(config):
         raise NormDriftError("norm^2 = nan, off by nan")

@@ -14,6 +14,7 @@ from homsim.circuit import bind_angles, synthesize, trotter_sequence
 from homsim.cli import main
 from homsim.experiments import (
     MAX_QUBITS_PER_MODE,
+    MAX_SHOTS,
     ExperimentConfig,
     circuit_report,
     compile_step,
@@ -193,6 +194,7 @@ class TestRunHom:
             {"reduced": True},
             {"trotter_steps": 0},
             {"shots": 0},
+            {"shots": MAX_SHOTS + 1},
         ],
     )
     def test_mistyped_config_rejected(self, bad):
@@ -203,6 +205,11 @@ class TestRunHom:
             ExperimentConfig(**{**asdict(valid), **bad})
         with pytest.raises(ValueError):
             replace(valid, **bad)
+
+    def test_most_shots_numpy_draws(self):
+        # multinomial counts in a C long: 2**63 - 1 shots draw, 2**63 overflow.
+        report = run_hom(ExperimentConfig(exact=True, shots=MAX_SHOTS))
+        assert sum(report.counts.counts.values()) == MAX_SHOTS == 2**63 - 1
 
     def test_rng_algorithm_recorded(self):
         report = run_hom(ExperimentConfig(exact=True, seed=5))

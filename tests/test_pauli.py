@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from conftest import (
+    digit_xz,
     exact_terms,
     kron_matrix,
     listed_adjoint,
@@ -42,6 +43,25 @@ class TestTermMultiply:
     def test_invalid_label_rejected(self):
         with pytest.raises(ValueError):
             PauliTerm.from_label(1, "XA")
+
+
+class TestXzDecode:
+    def test_masks_follow_amplitude_bits(self):
+        # X on qubit 0 and Y on qubit 3 set x bits 3 and 0; Z and Y set z.
+        assert PauliTerm.from_label(1.0, "XZIY").xz == (0b1001, 0b0101)
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    def test_every_code_matches_the_digit_oracle(self, width):
+        for code in range(4 ** width):
+            assert PauliTerm(1.0, code, width).xz == digit_xz(code, width)
+
+    @given(st.integers(1, 40).flatmap(lambda w: st.tuples(st.just(w), st.integers(0, 4 ** w - 1))))
+    @example((40, 4 ** 40 - 1))
+    @example((40, 0b01_11_00_10 << 72))
+    def test_drawn_wide_codes_match_the_digit_oracle(self, width_code):
+        # Past width 32 the code spans more than 64 bits, nine bytes or more.
+        width, code = width_code
+        assert PauliTerm(1.0, code, width).xz == digit_xz(code, width)
 
 
 class TestOpArithmetic:
