@@ -6,10 +6,12 @@ The interaction Hamiltonian is b†a + ba†; an ``Interaction`` refuses a
 non-Hermitian operator when it is built, so nothing that takes one checks
 again. H conserves total photon number, so an N-photon input only ever
 explores H projected onto the N-photon sector: the reduced interaction is
-that projection, built from single Gray-code hops at any encoding, and
-``sector_evolution`` evolves a Fock input exactly on the sector's few
-states, the oracle every run is scored against. ``exact_unitary``, the
-dense exp(+iθH) over the whole register, is the independent check of both.
+that projection, built from single Gray-code hops at any encoding. A Fock
+input is evolved exactly on its sector's few states, the oracle every run
+is scored against: ``fock_sector`` builds the sector's eigenbasis, which
+does not depend on θ, and its ``amplitudes`` binds θ; ``sector_evolution``
+is the two in one call. ``exact_unitary``, the dense exp(+iθH) over the
+whole register, is the independent check of both.
 """
 from __future__ import annotations
 
@@ -83,18 +85,43 @@ def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:
     return (v * np.exp(1j * theta * w)) @ v.conj().T
 
 
-def sector_evolution(
-    encoding: FockEncoding, fock: tuple[int, int], theta: float
-) -> np.ndarray:
-    """Register amplitudes of exp(+iθH)|n_B, n_A⟩, computed on its photon sector.
+@dataclass(frozen=True, eq=False)
+class Sector:
+    """A Fock input's photon sector in the register, θ left unbound.
+
+    ``w`` (ascending) and ``v`` are the eigenvalues and eigenvectors of H on
+    the sector, ``column`` the input's coefficients in that eigenbasis and
+    ``rows`` the register index of each sector state. ``amplitudes`` binds θ.
+    """
+
+    n_qubits: int
+    rows: list[int]
+    w: np.ndarray
+    v: np.ndarray
+    column: np.ndarray
+
+    def amplitudes(self, theta: float) -> np.ndarray:
+        """Register amplitudes of exp(+iθH) on the input; zero outside the sector.
+
+        A θ whose phases θ·w are not finite (NaN, ±inf, or an overflowing
+        product) is a ``ValueError``.
+        """
+        w = self.w
+        # w ascends, so its ends bound every |θ·w|; a float product never warns.
+        if not math.isfinite(theta * max(-float(w[0]), float(w[-1]))):
+            raise ValueError(f"theta = {theta!r}: the phases exp(i·theta·w) are not finite")
+        out = np.zeros(2 ** self.n_qubits, dtype=complex)
+        out[self.rows] = self.v @ (np.exp(1j * theta * w) * self.column)
+        return out
+
+
+def fock_sector(encoding: FockEncoding, fock: tuple[int, int]) -> Sector:
+    """The ``Sector`` of the Fock input |n_B, n_A⟩: everything but θ.
 
     H acts on the representable states |k, N−k⟩ (k, N−k ≤ capacity) as a
     tridiagonal matrix joining k and k+1 with weight √((k+1)(N−k)): the
     SU(2) splitter of Campos, Saleh & Teich (PRA 40, 1371 (1989)), cut to
-    the register. Its eigendecomposition is embedded through the Gray
-    labels; every amplitude outside the sector is exactly zero. A θ whose
-    phases θ·w are not finite (NaN, ±inf, or an overflowing product) is a
-    ``ValueError``.
+    the register. Its eigendecomposition is embedded through the Gray labels.
     """
     if not all(0 <= n <= encoding.capacity for n in fock):
         raise ValueError(f"Fock input {fock} outside [0, {encoding.capacity}] per mode")
@@ -103,10 +130,12 @@ def sector_evolution(
     ks = np.arange(max(0, photons - cap), min(photons, cap) + 1)
     weights = np.sqrt((ks[:-1] + 1) * (photons - ks[:-1]))
     w, v = np.linalg.eigh(np.diag(weights, 1) + np.diag(weights, -1))
-    # eigh sorts w, so its ends bound every |θ·w|; a float product never warns.
-    if not math.isfinite(theta * max(-float(w[0]), float(w[-1]))):
-        raise ValueError(f"theta = {theta!r}: the phases exp(i·theta·w) are not finite")
     rows = [basis_index(encoding, k) << q | basis_index(encoding, photons - k) for k in ks]
-    out = np.zeros(4 ** q, dtype=complex)
-    out[rows] = v @ (np.exp(1j * theta * w) * v[n_b - ks[0]])
-    return out
+    return Sector(2 * q, rows, w, v, v[n_b - ks[0]])
+
+
+def sector_evolution(
+    encoding: FockEncoding, fock: tuple[int, int], theta: float
+) -> np.ndarray:
+    """Register amplitudes of exp(+iθH)|n_B, n_A⟩: ``fock_sector``, then θ bound."""
+    return fock_sector(encoding, fock).amplitudes(theta)

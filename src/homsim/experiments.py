@@ -4,15 +4,17 @@ Each run prepares one photon per mode (|1,1>), evolves it through either
 the Trotterized circuit or exactly, and reports probabilities, a seeded
 shot histogram, circuit metrics, and fidelity to the exact evolution. The
 exact evolution is computed on the input's photon sector
-(``beamsplitter.sector_evolution``), a matrix of at most N+1 rows, so no
-run builds a dense operator. A circuit run evolves the state by the
-product of Pauli rotations the circuit compiles (``statevector.evolve``),
-and the tests cross-check it against running the circuit gate by gate.
-Everything a circuit run needs that depends on neither θ nor the step
-count, H, its terms, the rotation tables and the step's gate profile, is
-one ``CompiledStep``; a run binds θ/steps to it for the angles, the
-evolution and the metrics. A sweep compiles once and hands that step to
-every row's ``run_hom``; a lone ``run_hom`` compiles its own. The circuit
+(``beamsplitter.fock_sector``), a matrix of at most N+1 rows, so no run
+builds a dense operator. A circuit run evolves the state by the product
+of Pauli rotations the circuit compiles (``statevector.evolve``), and the
+tests cross-check it against running the circuit gate by gate. Everything
+a run needs that depends on neither θ nor the step count is one
+``CompiledStep``: on both paths the sector's eigenbasis and the register's
+bitstring labels, on the circuit path also H's terms, the rotation tables
+and the step's gate profile. A run checks that the step fits its config,
+then binds θ/steps to it for the exact state, the angles, the evolution
+and the metrics. A sweep compiles once and hands that step to every row's
+``run_hom``; a lone ``run_hom`` compiles its own. The circuit
 is compiled from the full beam-splitter H, or with ``reduced`` from H
 projected onto the input's 2-photon sector, at any number of qubits per
 mode; the step count and ``reduced`` only shape the circuit, so an exact
@@ -27,13 +29,14 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import circuit as circ
 from . import statevector as sv
-from .beamsplitter import interaction, reduced_interaction, sector_evolution
+from .beamsplitter import Sector, fock_sector, interaction, reduced_interaction
 from .gray import FockEncoding, gray_bits
 from .pauli import PauliTerm
 
@@ -120,35 +123,56 @@ def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
 
 @dataclass(frozen=True, eq=False)
 class CompiledStep:
-    """One Trotter step of a config's H with θ and the step count left unbound.
+    """A config's run with θ and the step count left unbound.
 
-    It holds what depends only on the encoding and the full/reduced choice:
-    the step's terms with their real coefficients, the rotation pass's
-    tables and the ``StepProfile`` of the step's gates, whose delay rows
-    are built only when a run asks for more repeats than qubits. A run binds
-    θ/steps to it.
+    It holds what depends only on the encoding, the full/reduced choice and
+    the exact/circuit path: the input's ``Sector``, the register's bitstring
+    labels in index order and, on the circuit path, the step's terms with
+    their real coefficients. The rotation pass's tables and the
+    ``StepProfile`` of the step's gates, whose delay rows are built only
+    when a run asks for more repeats than qubits, are built from the terms
+    on first need and kept, so a run whose angles are refused builds
+    neither. A run binds θ/steps to it.
     """
 
     qubits_per_mode: int
     reduced: bool
-    terms: tuple[tuple[PauliTerm, float], ...]
-    tables: sv.RotationTables
-    profile: circ.StepProfile
+    exact: bool
+    sector: Sector
+    labels: tuple[str, ...]
+    terms: Optional[tuple[tuple[PauliTerm, float], ...]]
+
+    @cached_property
+    def tables(self) -> sv.RotationTables:
+        return sv.rotation_tables(2 * self.qubits_per_mode, [term for term, _ in self.terms])
+
+    @cached_property
+    def profile(self) -> circ.StepProfile:
+        # The gates take the coefficients as angles; the profile reads no angle.
+        n = 2 * self.qubits_per_mode
+        return circ.StepProfile(n, circ.trotter_circuit(self.terms, n, 1).step)
 
 
 def compile_step(config: ExperimentConfig) -> CompiledStep:
-    """The ``CompiledStep`` of ``config``'s H, full or ``reduced``; θ and steps are not read."""
+    """The ``CompiledStep`` of ``config``, exact or from its H, full or
+    ``reduced``; θ and steps are not read."""
     encoding = FockEncoding(config.qubits_per_mode)
-    if config.reduced:
-        inter = reduced_interaction(encoding, PHOTONS)
-    else:
-        inter = interaction(encoding)
-    n = inter.op.width
-    terms = circ.step_terms(inter)
-    # The gates take the coefficients as angles; the profile reads no angle.
-    profile = circ.StepProfile(n, circ.trotter_circuit(terms, n, 1).step)
-    tables = sv.rotation_tables(n, [term for term, _ in terms])
-    return CompiledStep(config.qubits_per_mode, config.reduced, tuple(terms), tables, profile)
+    n = 2 * config.qubits_per_mode
+    terms = None
+    if not config.exact:
+        if config.reduced:
+            inter = reduced_interaction(encoding, PHOTONS)
+        else:
+            inter = interaction(encoding)
+        terms = tuple(circ.step_terms(inter))
+    return CompiledStep(
+        config.qubits_per_mode,
+        config.reduced,
+        config.exact,
+        fock_sector(encoding, INPUT_FOCK),
+        tuple(format(i, f"0{n}b") for i in range(2 ** n)),
+        terms,
+    )
 
 
 def run_hom(
@@ -156,45 +180,41 @@ def run_hom(
 ) -> ExperimentReport:
     """One interference run: prep, evolve, measure statistics.
 
-    A circuit run binds θ and the step count to ``compiled``, built for the
-    same qubits per mode and full/reduced choice, or compiles its own.
+    The run binds θ and the step count to ``compiled``, built for the same
+    qubits per mode, full/reduced choice and exact/circuit path, or
+    compiles its own.
     """
-    encoding = FockEncoding(config.qubits_per_mode)
+    if compiled is None:
+        compiled = compile_step(config)
+    elif (compiled.qubits_per_mode, compiled.reduced, compiled.exact) != (
+        config.qubits_per_mode,
+        config.reduced,
+        config.exact,
+    ):
+        if config.exact and not compiled.exact:
+            raise ValueError("an exact run takes no compiled step")
+        raise ValueError(
+            f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
+            f"reduced={compiled.reduced}, exact={compiled.exact} does not fit the config"
+        )
     n = 2 * config.qubits_per_mode
-    exact_state = sv.StateVector(
-        n, sector_evolution(encoding, INPUT_FOCK, config.theta)
-    )
+    exact_state = sv.StateVector(n, compiled.sector.amplitudes(config.theta))
 
     metrics_out: Optional[dict] = None
     if config.exact:
-        if compiled is not None:
-            raise ValueError("an exact run takes no compiled step")
         out = exact_state
     else:
-        if compiled is None:
-            compiled = compile_step(config)
-        elif (compiled.qubits_per_mode, compiled.reduced) != (
-            config.qubits_per_mode,
-            config.reduced,
-        ):
-            raise ValueError(
-                f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
-                f"reduced={compiled.reduced} does not fit the config"
-            )
         steps = config.trotter_steps
         angles = circ.bind_angles(compiled.terms, config.theta, steps)
-        initial = sv.init_basis(n, _fock_label(encoding, INPUT_FOCK))
-        out = sv.evolve(initial, compiled.tables, angles, steps)
+        label = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
+        out = sv.evolve(sv.init_basis(n, label), compiled.tables, angles, steps)
         metrics_out = compiled.profile.metrics(steps)
 
     probs = sv.probabilities(out)
-    prob_map = {
-        format(i, f"0{n}b"): float(p) for i, p in enumerate(probs)
-    }
     histogram = sv.sample(out, config.shots, config.seed)
     return ExperimentReport(
         config=config,
-        probabilities=prob_map,
+        probabilities=dict(zip(compiled.labels, probs.tolist())),
         counts=histogram,
         metrics=metrics_out,
         fidelity=sv.fidelity(exact_state, out),
@@ -249,11 +269,11 @@ def sweep_theta(
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")
     coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
-    compiled = compile_step(config) if use_circuit else None
+    config = replace(config, exact=not use_circuit)
+    compiled = compile_step(config)
     rows = []
     for theta in theta_grid:
-        row_config = replace(config, theta=float(theta), exact=not use_circuit)
-        report = run_hom(row_config, compiled)
+        report = run_hom(replace(config, theta=float(theta)), compiled)
         rows.append(
             {
                 "theta": float(theta),

@@ -215,19 +215,22 @@ def probabilities(s: StateVector) -> np.ndarray:
 
 
 def sample(s: StateVector, shots: int, seed: int) -> Histogram:
-    """Seeded i.i.d. measurement shots, aggregated into a label histogram."""
+    """Seeded i.i.d. measurement shots, aggregated into a label histogram.
+
+    Only the outcomes drawn are labelled, in ascending label order.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = probabilities(s)
     p = p / p.sum()
     rng = np.random.default_rng(seed)
     draws = rng.multinomial(shots, p)
+    drawn = np.flatnonzero(draws)
     counts = {
-        format(i, f"0{s.n_qubits}b"): int(k)
-        for i, k in enumerate(draws)
-        if k > 0
+        format(i, f"0{s.n_qubits}b"): k
+        for i, k in zip(drawn.tolist(), draws[drawn].tolist())
     }
-    return Histogram(counts=dict(sorted(counts.items())), shots=shots)
+    return Histogram(counts=counts, shots=shots)
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:

@@ -14,7 +14,7 @@ from homsim.gray import (
     projector,
 )
 from homsim.pauli import PauliOp, PauliTerm
-from homsim.statevector import StateVector, apply_circuit
+from homsim.statevector import Histogram, StateVector, apply_circuit, probabilities
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -202,6 +202,38 @@ def sector_projector(enc: FockEncoding, photons: int) -> np.ndarray:
         if 0 <= n_a <= enc.capacity:
             diag[two_mode_index(enc, n_b, n_a)] = 1.0
     return np.diag(diag)
+
+
+def rebuilt_sector_evolution(
+    enc: FockEncoding, fock: tuple[int, int], theta: float
+) -> np.ndarray:
+    """Reference sector evolution: matrix, ``eigh`` and rows rebuilt on every call.
+
+    The float operations the compiled sector must keep, in the same order.
+    """
+    if not all(0 <= n <= enc.capacity for n in fock):
+        raise ValueError(f"Fock input {fock} outside [0, {enc.capacity}] per mode")
+    n_b, n_a = fock
+    photons, cap, q = n_b + n_a, enc.capacity, enc.qubits_per_mode
+    ks = np.arange(max(0, photons - cap), min(photons, cap) + 1)
+    weights = np.sqrt((ks[:-1] + 1) * (photons - ks[:-1]))
+    w, v = np.linalg.eigh(np.diag(weights, 1) + np.diag(weights, -1))
+    if not math.isfinite(theta * max(-float(w[0]), float(w[-1]))):
+        raise ValueError(f"theta = {theta!r}: the phases exp(i·theta·w) are not finite")
+    rows = [basis_index(enc, k) << q | basis_index(enc, photons - k) for k in ks]
+    out = np.zeros(4 ** q, dtype=complex)
+    out[rows] = v @ (np.exp(1j * theta * w) * v[n_b - ks[0]])
+    return out
+
+
+def walked_sample(s: StateVector, shots: int, seed: int) -> Histogram:
+    """Reference ``sample``: every outcome's label formatted, the drawn kept, then sorted."""
+    p = probabilities(s)
+    draws = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    counts = {
+        format(i, f"0{s.n_qubits}b"): int(k) for i, k in enumerate(draws) if k > 0
+    }
+    return Histogram(counts=dict(sorted(counts.items())), shots=shots)
 
 
 def apply_gate(s: StateVector, g: Gate) -> StateVector:

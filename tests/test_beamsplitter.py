@@ -10,6 +10,7 @@ from conftest import (
     exact_terms,
     hand_reduced_q2,
     number_op,
+    rebuilt_sector_evolution,
     sector_projector,
     two_mode_index,
 )
@@ -17,6 +18,7 @@ from homsim import beamsplitter
 from homsim.beamsplitter import (
     Interaction,
     exact_unitary,
+    fock_sector,
     interaction,
     reduced_interaction,
     sector_evolution,
@@ -230,6 +232,23 @@ class TestSectorEvolution:
         dense = apply_dense(start, exact_unitary(theta, interaction(enc)))
         got = sector_evolution(enc, fock, theta)
         np.testing.assert_allclose(got, dense.amplitudes, rtol=0, atol=1e-12)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(-math.pi, math.pi) | st.floats(-1e300, 1e300))
+    def test_bound_sector_is_the_rebuilt_evolution_bit_for_bit(self, theta):
+        # Every Fock input at qpm 1-4: one compiled sector, bound at θ.
+        for qpm in range(1, 5):
+            enc = FockEncoding(qpm)
+            for fock in np.ndindex(enc.capacity + 1, enc.capacity + 1):
+                got = fock_sector(enc, fock).amplitudes(theta)
+                assert got.tobytes() == rebuilt_sector_evolution(enc, fock, theta).tobytes()
+
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 1e308])
+    def test_bind_refuses_non_finite_phases(self, theta, recwarn):
+        sector = fock_sector(ENC, (1, 1))
+        with pytest.raises(ValueError, match=r"the phases exp\(i·theta·w\) are not finite"):
+            sector.amplitudes(theta)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_two_two_balanced_splitter_closed_form(self):
         enc = FockEncoding(3)

@@ -243,16 +243,46 @@ class TestCompiledStep:
             (ExperimentConfig(qubits_per_mode=3), ExperimentConfig()),
             (ExperimentConfig(), ExperimentConfig(reduced=True)),
             (ExperimentConfig(reduced=True), ExperimentConfig()),
+            (ExperimentConfig(exact=True), ExperimentConfig(exact=True, qubits_per_mode=3)),
+            (ExperimentConfig(exact=True), ExperimentConfig()),
+            (ExperimentConfig(exact=True), ExperimentConfig(reduced=True)),
         ],
-        ids=["qpm-2-for-3", "qpm-3-for-2", "full-for-reduced", "reduced-for-full"],
+        ids=["qpm-2-for-3", "qpm-3-for-2", "full-for-reduced", "reduced-for-full",
+             "exact-qpm-2-for-3", "exact-for-full", "exact-for-reduced"],
     )
     def test_step_for_another_config_rejected(self, compiled_for, config):
         with pytest.raises(ValueError, match="does not fit the config"):
             run_hom(config, compile_step(compiled_for))
 
-    def test_exact_run_refuses_a_step(self):
+    @pytest.mark.parametrize(
+        "compiled_for",
+        [ExperimentConfig(), ExperimentConfig(reduced=True), ExperimentConfig(qubits_per_mode=3)],
+        ids=["full", "reduced", "qpm-3"],
+    )
+    def test_exact_run_refuses_a_step(self, compiled_for):
+        config = ExperimentConfig(exact=True, qubits_per_mode=compiled_for.qubits_per_mode)
         with pytest.raises(ValueError, match="exact run takes no compiled step"):
-            run_hom(ExperimentConfig(exact=True), compile_step(ExperimentConfig()))
+            run_hom(config, compile_step(compiled_for))
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_given_exact_step_reproduces_the_report(self, qpm):
+        config = ExperimentConfig(theta=0.9, exact=True, qubits_per_mode=qpm, seed=7)
+        alone = run_hom(config).to_json()
+        assert run_hom(config, compile_step(replace(config, theta=0.1))).to_json() == alone
+
+    def test_refused_bind_builds_no_tables_or_gates(self, monkeypatch):
+        # The cap is checked once the terms exist, before the step is built.
+        calls = []
+        for module, fn in [(sv, "rotation_tables"), (circuit, "trotter_circuit")]:
+            original = getattr(module, fn)
+            monkeypatch.setattr(
+                module, fn, lambda *a, _fn=fn, _o=original: calls.append(_fn) or _o(*a)
+            )
+        with pytest.raises(ValueError, match=r"^steps = 10000 times 32 terms is more than"):
+            run_hom(ExperimentConfig(trotter_steps=10_000))
+        assert calls == []
+        run_hom(ExperimentConfig(trotter_steps=2))
+        assert sorted(calls) == ["rotation_tables", "trotter_circuit"]
 
     def test_given_step_reproduces_the_report(self):
         config = ExperimentConfig(theta=0.9, trotter_steps=6, reduced=True, qubits_per_mode=3)
@@ -269,20 +299,27 @@ class TestCompiledStep:
 
     SWEEPS = {
         "trotter": (
-            lambda: sweep_trotter(ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]), 7
+            lambda: sweep_trotter(ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]), 7, 1
         ),
         "theta-circuit": (
             lambda: sweep_theta(
                 ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True
             ),
             9,
+            1,
+        ),
+        "theta-exact": (
+            lambda: sweep_theta(ExperimentConfig(qubits_per_mode=3), theta_grid(17)), 17, 0
         ),
     }
 
     @pytest.mark.parametrize("name", SWEEPS)
     def test_one_compile_per_sweep(self, monkeypatch, name):
-        # H and the step's gates are built once; run_hom still runs per row.
-        calls = {"interaction": 0, "trotter_circuit": 0, "run_hom": 0}
+        # The sector's eigenbasis, and on the circuit path H and the step's
+        # gates, are built once; run_hom still runs per row.
+        calls = dict.fromkeys(
+            ["interaction", "trotter_circuit", "fock_sector", "eigh", "run_hom"], 0
+        )
 
         def counted(name, fn):
             def wrapper(*args):
@@ -291,11 +328,18 @@ class TestCompiledStep:
             return wrapper
 
         for module, fn in [(experiments, "interaction"), (circuit, "trotter_circuit"),
+                           (experiments, "fock_sector"), (np.linalg, "eigh"),
                            (experiments, "run_hom")]:
             monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
-        sweep, rows = self.SWEEPS[name]
+        sweep, rows, circuits = self.SWEEPS[name]
         sweep()
-        assert calls == {"interaction": 1, "trotter_circuit": 1, "run_hom": rows}
+        assert calls == {
+            "interaction": circuits,
+            "trotter_circuit": circuits,
+            "fock_sector": 1,
+            "eigh": 1,
+            "run_hom": rows,
+        }
 
     @pytest.mark.parametrize(
         "run, builds",
@@ -349,12 +393,44 @@ class TestCompiledStep:
                 ),
                 "fcbb9c7a496cc0bfdca0e8cb5ed6691b1ae598419577a5c18a7c4e73eb63a5c5",
             ),
+            (
+                lambda: sweep_theta(ExperimentConfig(), theta_grid(17)),
+                "de79e6c2c54547f4e8f813f16b9038f86627cf1f3552423193e272bc78f01030",
+            ),
+            (
+                lambda: sweep_theta(ExperimentConfig(qubits_per_mode=3), theta_grid(17)),
+                "595ed1abf34926940419f3af9a0580c294cb0b64673ee727d3d01e325bc45ea6",
+            ),
         ],
-        ids=["trotter-q2", "trotter-q3", "trotter-q3-reduced", "theta-circuit-q2"],
+        ids=["trotter-q2", "trotter-q3", "trotter-q3-reduced", "theta-circuit-q2",
+             "theta-exact-q2", "theta-exact-q3"],
     )
     def test_sweep_rows_unchanged(self, sweep, digest):
-        # Digests of the rows computed while every row rebuilt H and its step.
+        # Digests of the rows computed while every row rebuilt H and its step,
+        # and on the exact path the sector's eigenbasis and the register labels.
         assert hashlib.sha256(json.dumps(sweep()).encode()).hexdigest() == digest
+
+    def test_exact_sweep_reports_unchanged(self, monkeypatch):
+        # Every row's full report at qpm 3, as a lone run wrote it when each
+        # run rebuilt its sector and formatted every label.
+        reports = []
+        original = experiments.run_hom
+
+        def kept(*args):
+            report = original(*args)
+            reports.append(report.to_json())
+            return report
+
+        monkeypatch.setattr(experiments, "run_hom", kept)
+        sweep_theta(ExperimentConfig(qubits_per_mode=3), theta_grid(17))
+        monkeypatch.undo()
+        lone = [
+            run_hom(ExperimentConfig(theta=t, exact=True, qubits_per_mode=3)).to_json()
+            for t in theta_grid(17)
+        ]
+        assert reports == lone
+        digest = hashlib.sha256("".join(reports).encode()).hexdigest()
+        assert digest == "e7e84dd78d2a3924ea0828f4a99faa48903ea1c62e46afe85b0c2c065935cead"
 
 
 class TestSweepTrotter:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from conftest import apply_gate
+from conftest import apply_gate, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
 from homsim.circuit import Circuit, Gate, synthesize, trotter_sequence
@@ -201,6 +201,21 @@ class TestProbabilitiesAndSampling:
         observed = [h.counts.get("0011", 0), h.counts.get("1100", 0)]
         _, pvalue = stats.chisquare(observed, [5000, 5000])
         assert pvalue > 0.001
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_sample_is_the_all_outcome_walk(self, n):
+        # Random states, and a sparse one whose few outcomes leave most labels undrawn.
+        rng = np.random.default_rng(n)
+        psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        sparse = np.zeros(2**n, dtype=complex)
+        sparse[rng.choice(2**n, size=min(3, 2**n), replace=False)] = 1
+        for amps in (psi, sparse):
+            s = StateVector(n, amps / np.linalg.norm(amps))
+            for shots, seed in [(1, 0), (37, 1), (10_000, 2)]:
+                got = sample(s, shots, seed)
+                want = walked_sample(s, shots, seed)
+                assert got == want
+                assert list(got.counts) == list(want.counts)
 
     def test_histogram_invariant(self):
         with pytest.raises(ValueError):
