@@ -90,12 +90,14 @@ class Sector:
     """A Fock input's photon sector in the register, θ left unbound.
 
     ``w`` (ascending) and ``v`` are the eigenvalues and eigenvectors of H on
-    the sector, ``column`` the input's coefficients in that eigenbasis and
-    ``rows`` the register index of each sector state. ``amplitudes`` binds θ.
+    the sector, ``column`` the input's coefficients in that eigenbasis,
+    ``rows`` the register index of each sector state, |k, N−k⟩ by ascending
+    k, and ``start`` the input's. ``amplitudes`` binds θ.
     """
 
     n_qubits: int
     rows: list[int]
+    start: int
     w: np.ndarray
     v: np.ndarray
     column: np.ndarray
@@ -131,7 +133,7 @@ def fock_sector(encoding: FockEncoding, fock: tuple[int, int]) -> Sector:
     weights = np.sqrt((ks[:-1] + 1) * (photons - ks[:-1]))
     w, v = np.linalg.eigh(np.diag(weights, 1) + np.diag(weights, -1))
     rows = [basis_index(encoding, k) << q | basis_index(encoding, photons - k) for k in ks]
-    return Sector(2 * q, rows, w, v, v[n_b - ks[0]])
+    return Sector(2 * q, rows, rows[n_b - ks[0]], w, v, v[n_b - ks[0]])
 
 
 def sector_evolution(

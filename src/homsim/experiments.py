@@ -5,23 +5,23 @@ the Trotterized circuit or exactly, and reports probabilities, a seeded
 shot histogram, circuit metrics, and fidelity to the exact evolution. The
 exact evolution is computed on the input's photon sector
 (``beamsplitter.fock_sector``), a matrix of at most N+1 rows, so no run
-builds a dense operator. A circuit run evolves the state by the product
-of Pauli rotations the circuit compiles (``statevector.evolve``), and the
-tests cross-check it against running the circuit gate by gate. Everything
-a run needs that depends on neither θ nor the step count is one
+builds a dense operator. A circuit run evolves the state by the product of
+Pauli rotations the circuit compiles (``statevector.evolve``), and the
+tests cross-check it against running the circuit gate by gate. Everything a
+run needs that depends on neither θ nor the step count is one
 ``CompiledStep``: on both paths the sector's eigenbasis and the register's
 bitstring labels, on the circuit path also H's terms, the rotation tables
-and the step's gate profile. A run checks that the step fits its config,
-then binds θ/steps to it for the exact state, the angles, the evolution
-and the metrics. A sweep compiles once and hands that step to every row's
-``run_hom``; a lone ``run_hom`` compiles its own. The circuit
-is compiled from the full beam-splitter H, or with ``reduced`` from H
-projected onto the input's 2-photon sector, at any number of qubits per
-mode; the step count and ``reduced`` only shape the circuit, so an exact
-config refuses them. A config checks itself when built (a sweep row's
-``replace`` too), so no entry point re-checks it. Reports are output only:
-``to_json`` writes one, and nothing reads one back. Defaults reproduce the
-reference setup: 2 qubits per mode, a 1:1 splitter (θ = π/4), 10,000 shots.
+and the step's gate profile. ``compile_step`` alone picks a config's H and
+input. A run binds θ/steps to a step that fits its config, or to its own; a
+sweep compiles once; the circuit report emits from one step per H. Start
+states and sweep columns are labels of sector rows. The circuit is compiled
+from the full beam-splitter H, or with ``reduced`` from H projected onto
+the input's 2-photon sector, at any number of qubits per mode; the step
+count and ``reduced`` only shape the circuit, so an exact config refuses
+them. A config checks itself when built (a sweep row's ``replace`` too), so
+no entry point re-checks it. Reports are output only: ``to_json`` writes
+one, and nothing reads one back. Defaults reproduce the reference setup: 2
+qubits per mode, a 1:1 splitter (θ = π/4), 10,000 shots.
 """
 from __future__ import annotations
 
@@ -37,12 +37,11 @@ import numpy as np
 from . import circuit as circ
 from . import statevector as sv
 from .beamsplitter import Sector, fock_sector, interaction, reduced_interaction
-from .gray import FockEncoding, gray_bits
+from .gray import FockEncoding
 from .pauli import PauliTerm
 
 # Photons in (mode B, mode A) of the interference input |1,1>.
 INPUT_FOCK = (1, 1)
-PHOTONS = sum(INPUT_FOCK)
 
 # The widest register whose circuit run is measured: a 1-step run_hom takes
 # 3.5–4.0 s and 101 MB peak RSS in its own process on a shared 2-core host
@@ -56,6 +55,10 @@ _ACCEPTED = {"float": (int, float), "int": int, "bool": bool}
 
 # The most shots numpy's multinomial draws: its count is a C long.
 MAX_SHOTS = 2 ** 63 - 1
+
+# The most angles one theta grid holds: at 6 qubits per mode an exact sweep over
+# them takes 2.2 s, a circuit sweep 2.1 s a row (one BLAS thread, 2-core host).
+MAX_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -116,11 +119,6 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _fock_label(encoding: FockEncoding, fock: tuple[int, int]) -> str:
-    # Register label of |n_B, n_A>; "0101" for |1,1> at 2 qubits per mode.
-    return "".join(gray_bits(encoding, n) for n in fock)
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledStep:
     """A config's run with θ and the step count left unbound.
@@ -132,7 +130,7 @@ class CompiledStep:
     ``StepProfile`` of the step's gates, whose delay rows are built only
     when a run asks for more repeats than qubits, are built from the terms
     on first need and kept, so a run whose angles are refused builds
-    neither. A run binds θ/steps to it.
+    neither. A run binds θ/steps to it; ``circuit`` binds them and emits.
     """
 
     qubits_per_mode: int
@@ -148,9 +146,13 @@ class CompiledStep:
 
     @cached_property
     def profile(self) -> circ.StepProfile:
-        # The gates take the coefficients as angles; the profile reads no angle.
-        n = 2 * self.qubits_per_mode
-        return circ.StepProfile(n, circ.trotter_circuit(self.terms, n, 1).step)
+        # At θ = 1 and one step each angle is its coefficient; the profile reads no angle.
+        return circ.StepProfile(2 * self.qubits_per_mode, self.circuit(1.0, 1).step)
+
+    def circuit(self, theta: float, steps: int) -> circ.Circuit:
+        """The step's gates at θ, repeated ``steps`` times."""
+        bound = zip([term for term, _ in self.terms], circ.bind_angles(self.terms, theta, steps))
+        return circ.trotter_circuit(list(bound), 2 * self.qubits_per_mode, steps)
 
 
 def compile_step(config: ExperimentConfig) -> CompiledStep:
@@ -161,7 +163,7 @@ def compile_step(config: ExperimentConfig) -> CompiledStep:
     terms = None
     if not config.exact:
         if config.reduced:
-            inter = reduced_interaction(encoding, PHOTONS)
+            inter = reduced_interaction(encoding, sum(INPUT_FOCK))
         else:
             inter = interaction(encoding)
         terms = tuple(circ.step_terms(inter))
@@ -206,8 +208,8 @@ def run_hom(
     else:
         steps = config.trotter_steps
         angles = circ.bind_angles(compiled.terms, config.theta, steps)
-        label = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
-        out = sv.evolve(sv.init_basis(n, label), compiled.tables, angles, steps)
+        start = sv.init_basis(n, compiled.labels[compiled.sector.start])
+        out = sv.evolve(start, compiled.tables, angles, steps)
         metrics_out = compiled.profile.metrics(steps)
 
     probs = sv.probabilities(out)
@@ -233,13 +235,10 @@ def sweep_trotter(
         raise ValueError("steps_list must be non-empty")
     if config.exact:
         raise ValueError("Trotter sweep requires the circuit path")
-    encoding = FockEncoding(config.qubits_per_mode)
-    # The input first, then the other sector states |k, N-k> the encoding holds.
-    sector = [(k, PHOTONS - k) for k in range(PHOTONS + 1)]
-    sector.sort(key=lambda fock: fock != INPUT_FOCK)
-    labels = [_fock_label(encoding, f) for f in sector if max(f) <= encoding.capacity]
-
     compiled = compile_step(config)
+    # The input first, then the other sector states |k, N-k> by ascending k.
+    sector = compiled.sector
+    labels = [compiled.labels[r] for r in sorted(sector.rows, key=lambda r: r != sector.start)]
     rows = []
     for i, steps in enumerate(steps_list):
         row_config = replace(config, trotter_steps=int(steps), seed=config.seed + i)
@@ -268,9 +267,9 @@ def sweep_theta(
     """
     if len(theta_grid) == 0:
         raise ValueError("theta_grid must be non-empty")
-    coincidence = _fock_label(FockEncoding(config.qubits_per_mode), INPUT_FOCK)
     config = replace(config, exact=not use_circuit)
     compiled = compile_step(config)
+    coincidence = compiled.labels[compiled.sector.start]
     rows = []
     for theta in theta_grid:
         report = run_hom(replace(config, theta=float(theta)), compiled)
@@ -284,21 +283,19 @@ def sweep_theta(
 
 
 def circuit_report(config: ExperimentConfig) -> dict:
-    """Side-by-side metrics and QASM for the full and reduced circuits."""
+    """Metrics and QASM of the full and reduced circuits, each emitted from its step."""
     if config.exact:
         raise ValueError("circuit report requires the circuit path")
-    encoding = FockEncoding(config.qubits_per_mode)
-    inters = {
-        "full": interaction(encoding),
-        "reduced": reduced_interaction(encoding, PHOTONS),
-    }
     out: dict = {"config": asdict(config)}
-    for name, inter in inters.items():
-        c = circ.synthesize(inter, config.theta, config.trotter_steps)
+    for name, reduced in (("full", False), ("reduced", True)):
+        compiled = compile_step(replace(config, reduced=reduced))
+        c = compiled.circuit(config.theta, config.trotter_steps)
         out[name] = {"metrics": circ.metrics(c), "qasm": circ.export_qasm(c)}
     return out
 
 
 def theta_grid(points: int, stop: float = math.pi / 2) -> list[float]:
-    """Evenly spaced splitter angles over [0, stop]."""
+    """``points`` evenly spaced splitter angles over [0, stop], at most ``MAX_POINTS``."""
+    if not 1 <= points <= MAX_POINTS:
+        raise ValueError(f"points must be in [1, {MAX_POINTS}]")
     return [float(t) for t in np.linspace(0.0, stop, points)]

@@ -243,6 +243,14 @@ class TestSectorEvolution:
                 got = fock_sector(enc, fock).amplitudes(theta)
                 assert got.tobytes() == rebuilt_sector_evolution(enc, fock, theta).tobytes()
 
+    def test_start_is_the_input_row(self):
+        for qpm in range(1, 5):
+            enc = FockEncoding(qpm)
+            for fock in np.ndindex(enc.capacity + 1, enc.capacity + 1):
+                sector = fock_sector(enc, fock)
+                assert sector.start == two_mode_index(enc, *fock)
+                assert sector.start in sector.rows
+
     @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan, 1e308])
     def test_bind_refuses_non_finite_phases(self, theta, recwarn):
         sector = fock_sector(ENC, (1, 1))

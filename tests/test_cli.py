@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from homsim import cli
 from homsim.cli import main
-from homsim.experiments import ExperimentConfig
+from homsim.experiments import MAX_POINTS, ExperimentConfig
 from homsim.statevector import NormDriftError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -142,8 +142,12 @@ def test_overflowing_circuit_angle_is_a_usage_error(qpm):
             ["run", "--exact", "--shots", str(10**20)],
             f"error: shots must be in [1, {2**63 - 1}]",
         ),
+        (
+            ["sweep-theta", "--points", str(MAX_POINTS + 1)],
+            f"error: points must be in [1, {MAX_POINTS}]",
+        ),
     ],
-    ids=["run-steps", "circuit-report-steps", "exact-shots"],
+    ids=["run-steps", "circuit-report-steps", "exact-shots", "theta-points"],
 )
 def test_unbounded_work_is_a_usage_error(args, error):
     # Each would run for hours, build gigabytes of QASM or overflow numpy's draw.
@@ -151,6 +155,14 @@ def test_unbounded_work_is_a_usage_error(args, error):
     assert result.exit_code == 2
     assert [line for line in result.output.splitlines() if line.startswith("error:")] == [error]
     assert "Traceback" not in result.output
+
+
+def test_theta_sweep_runs_at_the_points_cap():
+    result = CliRunner().invoke(
+        main, ["sweep-theta", "--points", str(MAX_POINTS), "--qubits-per-mode", "1"]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)) == MAX_POINTS
 
 
 def test_broken_invariant_is_an_internal_error(monkeypatch):

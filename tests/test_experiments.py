@@ -13,6 +13,7 @@ from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
 from homsim.circuit import bind_angles, synthesize, trotter_sequence
 from homsim.cli import main
 from homsim.experiments import (
+    MAX_POINTS,
     MAX_QUBITS_PER_MODE,
     MAX_SHOTS,
     ExperimentConfig,
@@ -474,6 +475,12 @@ class TestSweepTheta:
         with pytest.raises(ValueError):
             sweep_theta(ExperimentConfig(), [])
 
+    @pytest.mark.parametrize("points", [0, MAX_POINTS + 1, 10**9])
+    def test_grid_outside_the_cap_refused_before_it_is_built(self, monkeypatch, points):
+        monkeypatch.setattr(np, "linspace", lambda *a: pytest.fail("grid built"))
+        with pytest.raises(ValueError, match=rf"^points must be in \[1, {MAX_POINTS}\]$"):
+            theta_grid(points)
+
     def test_circuit_path_matches_circuit_runs(self):
         config = ExperimentConfig(trotter_steps=2)
         grid = theta_grid(5)
@@ -506,6 +513,58 @@ class TestCircuitReport:
     def test_exact_config_rejected(self):
         with pytest.raises(ValueError):
             circuit_report(ExperimentConfig(exact=True))
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                ExperimentConfig(qubits_per_mode=1),
+                "cbf20d8a918e55ce47d569e26b8376c0b37f69cdd3ceae400367482a85323e0a",
+            ),
+            (
+                ExperimentConfig(),
+                "d180c5faafea7f576cf1d6529a463eb0cd119487b045b71e55169fe6fbe0f540",
+            ),
+            (
+                ExperimentConfig(qubits_per_mode=3),
+                "59b367ca189fb75746056cf457e56811f8e833d145e0144512103819084f3cfd",
+            ),
+            (
+                ExperimentConfig(theta=0.37, trotter_steps=3),
+                "c9e48e5bb1b27fc2e2610b42f46bc1aab649b5293348231df36d68daa563ccfa",
+            ),
+            (
+                ExperimentConfig(theta=0.0),
+                "8bb95667998318f2855f4a7f69e7648d8893c7c570c055c8e1bea5e3e53ac366",
+            ),
+        ],
+        ids=["q1", "q2", "q3", "q2-steps-3", "q2-theta-0"],
+    )
+    def test_report_unchanged(self, config, digest):
+        # Digests of the reports written when each H went through synthesize.
+        text = json.dumps(circuit_report(config))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        if config.theta == 0:
+            assert "rz(-0) " in text and "rz(0) " in text
+
+    def test_each_h_compiled_once(self, monkeypatch):
+        calls = dict.fromkeys(
+            ["interaction", "reduced_interaction", "trotter_circuit", "synthesize"], 0
+        )
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for module, fn in [(experiments, "interaction"), (experiments, "reduced_interaction"),
+                           (circuit, "trotter_circuit"), (circuit, "synthesize")]:
+            monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
+        circuit_report(ExperimentConfig(trotter_steps=3))
+        assert calls == {
+            "interaction": 1, "reduced_interaction": 1, "trotter_circuit": 2, "synthesize": 0
+        }
 
 
 class TestCli:
