@@ -9,9 +9,9 @@ explores H projected onto the N-photon sector: the reduced interaction is
 that projection, built from single Gray-code hops at any encoding. A Fock
 input is evolved exactly on its sector's few states, the oracle every run
 is scored against: ``fock_sector`` builds the sector's eigenbasis, which
-does not depend on θ, and its ``amplitudes`` binds θ; ``sector_evolution``
-is the two in one call. ``exact_unitary``, the dense exp(+iθH) over the
-whole register, is the independent check of both.
+does not depend on θ, and its ``amplitudes`` binds θ.
+``exact_unitary``, the dense exp(+iθH) over the whole register, is its
+independent check.
 """
 from __future__ import annotations
 
@@ -135,9 +135,3 @@ def fock_sector(encoding: FockEncoding, fock: tuple[int, int]) -> Sector:
     rows = [basis_index(encoding, k) << q | basis_index(encoding, photons - k) for k in ks]
     return Sector(2 * q, rows, rows[n_b - ks[0]], w, v, v[n_b - ks[0]])
 
-
-def sector_evolution(
-    encoding: FockEncoding, fock: tuple[int, int], theta: float
-) -> np.ndarray:
-    """Register amplitudes of exp(+iθH)|n_B, n_A⟩: ``fock_sector``, then θ bound."""
-    return fock_sector(encoding, fock).amplitudes(theta)

@@ -157,10 +157,10 @@ def trotter_circuit(
 ) -> Circuit:
     """Circuit of a ``trotter_sequence`` step, repeated ``steps`` times.
 
-    Every term must be ``n_qubits`` wide, as ``apply_rotations`` requires.
-    Identity terms are outside that shared rule: ``trotter_sequence`` never
-    emits one, this emitter refuses one, and ``apply_rotations`` applies one
-    as a global phase.
+    Every term must be ``n_qubits`` wide, as ``statevector.rotation_tables``
+    requires. Identity terms are outside that shared rule:
+    ``trotter_sequence`` never emits one, this emitter refuses one, and
+    ``statevector.evolve`` applies one as a global phase.
 
     Each (P, angle) becomes exp(+i·angle·P), the sign flip realizing the
     beam splitter's +iθ: basis changes map every active qubit to Z, a CNOT

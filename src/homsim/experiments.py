@@ -102,7 +102,6 @@ class ExperimentReport:
     counts: sv.Histogram
     metrics: Optional[dict]
     fidelity: float
-    rng: dict
 
     def to_dict(self) -> dict:
         return {
@@ -112,7 +111,7 @@ class ExperimentReport:
             "shots": self.counts.shots,
             "metrics": self.metrics,
             "fidelity": self.fidelity,
-            "rng": self.rng,
+            "rng": {"algorithm": sv.RNG_ALGORITHM, "seed": self.config.seed},
         }
 
     def to_json(self) -> str:
@@ -193,8 +192,6 @@ def run_hom(
         config.reduced,
         config.exact,
     ):
-        if config.exact and not compiled.exact:
-            raise ValueError("an exact run takes no compiled step")
         raise ValueError(
             f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
             f"reduced={compiled.reduced}, exact={compiled.exact} does not fit the config"
@@ -220,7 +217,6 @@ def run_hom(
         counts=histogram,
         metrics=metrics_out,
         fidelity=sv.fidelity(exact_state, out),
-        rng={"algorithm": sv.RNG_ALGORITHM, "seed": config.seed},
     )
 
 
@@ -260,7 +256,8 @@ def sweep_theta(
     theta_grid: Sequence[float],
     use_circuit: bool = False,
 ) -> list[dict]:
-    """Coincidence probability across splitter angles.
+    """Coincidence probability across splitter angles; row seeds derive from
+    the base seed.
 
     Evolves exactly on the input's photon sector unless ``use_circuit``
     requests the Trotterized circuit path.
@@ -271,8 +268,8 @@ def sweep_theta(
     compiled = compile_step(config)
     coincidence = compiled.labels[compiled.sector.start]
     rows = []
-    for theta in theta_grid:
-        report = run_hom(replace(config, theta=float(theta)), compiled)
+    for i, theta in enumerate(theta_grid):
+        report = run_hom(replace(config, theta=float(theta), seed=config.seed + i), compiled)
         rows.append(
             {
                 "theta": float(theta),

@@ -1,17 +1,15 @@
 """Dense statevector execution, test-oracle matrix application, and seeded sampling.
 
-Two ways to evolve a state by a Trotterized Hamiltonian: ``apply_rotations``
+Two ways to evolve a state by a Trotterized Hamiltonian. The rotation pass
 applies each exp(+iαP) of one Trotter step as cos α·ψ + i sin α·Pψ, a few
-vector operations per term, and repeats the step; ``apply_circuit`` runs
-the synthesized circuit gate by gate and is the reference the rotations
-are tested against. The rotation pass has two parts: ``rotation_tables``
+vector operations per term, and repeats the step: ``rotation_tables``
 builds each string's gather index, sign vector and phase, none of which
 depend on the angles, and ``evolve`` binds one set of angles and runs the
-step. A sweep builds the tables once and binds each row's angles to them;
-``apply_rotations`` is both parts in one call, so there is one evolution
-loop. ``apply_dense`` applies a full unitary such as
-``beamsplitter.exact_unitary``; runs do not take it, the tests compare
-against it.
+step, so a sweep builds the tables once and binds each row's angles to
+them. ``apply_circuit`` runs the synthesized circuit gate by gate and is
+the reference the rotations are tested against. ``apply_dense`` applies a
+full unitary such as ``beamsplitter.exact_unitary``; runs do not take it,
+the tests compare against it.
 
 Label convention everywhere: the leftmost character of a bitstring label is
 qubit 0 and the highest-order bit of the amplitude index j, so qubit q is
@@ -176,18 +174,6 @@ def evolve(
         for (gather, sign, _), (cos, sin_phase) in zip(tables.actions, weights):
             psi = cos * psi + sin_phase * (sign * psi)[gather]
     return StateVector(s.n_qubits, psi)
-
-
-def apply_rotations(
-    s: StateVector, step: Sequence[tuple[PauliTerm, float]], repeat: int = 1
-) -> StateVector:
-    """exp(+i·angle·P) for each (term, angle) pair in order, ``repeat`` times.
-
-    Given a ``circuit.trotter_sequence`` step and its count, this is the
-    unitary ``circuit.synthesize`` compiles: the step's tables, then ``evolve``.
-    """
-    tables = rotation_tables(s.n_qubits, [term for term, _ in step])
-    return evolve(s, tables, [angle for _, angle in step], repeat)
 
 
 def apply_dense(s: StateVector, m: np.ndarray) -> StateVector:

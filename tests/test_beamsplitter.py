@@ -21,7 +21,6 @@ from homsim.beamsplitter import (
     fock_sector,
     interaction,
     reduced_interaction,
-    sector_evolution,
 )
 from homsim.gray import FockEncoding, creation_op, gray_bits
 from homsim.pauli import PauliOp, PauliTerm
@@ -230,7 +229,7 @@ class TestSectorEvolution:
         enc = FockEncoding(qpm)
         start = init_basis(2 * qpm, "".join(gray_bits(enc, n) for n in fock))
         dense = apply_dense(start, exact_unitary(theta, interaction(enc)))
-        got = sector_evolution(enc, fock, theta)
+        got = fock_sector(enc, fock).amplitudes(theta)
         np.testing.assert_allclose(got, dense.amplitudes, rtol=0, atol=1e-12)
 
     @settings(deadline=None, max_examples=40)
@@ -260,14 +259,14 @@ class TestSectorEvolution:
 
     def test_two_two_balanced_splitter_closed_form(self):
         enc = FockEncoding(3)
-        out = sector_evolution(enc, (2, 2), math.pi / 4)
+        out = fock_sector(enc, (2, 2)).amplitudes(math.pi / 4)
         p = [abs(out[two_mode_index(enc, k, 4 - k)]) ** 2 for k in range(5)]
         np.testing.assert_allclose(p, [3 / 8, 0, 1 / 4, 0, 3 / 8], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_odd_outputs_vanish_for_equal_inputs(self, n):
         enc = FockEncoding(3)
-        out = sector_evolution(enc, (n, n), math.pi / 4)
+        out = fock_sector(enc, (n, n)).amplitudes(math.pi / 4)
         for k in range(1, 2 * n, 2):
             assert abs(out[two_mode_index(enc, k, 2 * n - k)]) <= 1e-12
 
@@ -275,7 +274,7 @@ class TestSectorEvolution:
     @pytest.mark.parametrize("fock", [(0, 0), (1, 1), (0, 1), (1, 0)])
     def test_exactly_zero_outside_the_sector(self, qpm, fock):
         enc = FockEncoding(qpm)
-        out = sector_evolution(enc, fock, 1.3)
+        out = fock_sector(enc, fock).amplitudes(1.3)
         inside = np.diag(sector_projector(enc, sum(fock))) == 1
         assert np.all(out[~inside] == 0)
         assert np.sum(np.abs(out[inside]) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -283,11 +282,11 @@ class TestSectorEvolution:
     @pytest.mark.parametrize("fock", [(4, 0), (0, -1)])
     def test_unrepresentable_input_rejected(self, fock):
         with pytest.raises(ValueError, match="outside"):
-            sector_evolution(ENC, fock, 0.5)
+            fock_sector(ENC, fock).amplitudes(0.5)
 
     def test_non_finite_theta_rejected(self):
         with pytest.raises(ValueError):
-            sector_evolution(ENC, (1, 1), math.nan)
+            fock_sector(ENC, (1, 1)).amplitudes(math.nan)
 
     # |1,1> has phases θ·w with w = ±2, 0; the vacuum's only w is 0.
     @pytest.mark.parametrize(
@@ -297,12 +296,12 @@ class TestSectorEvolution:
     )
     def test_theta_with_non_finite_phases_rejected(self, fock, theta, recwarn):
         with pytest.raises(ValueError, match="theta"):
-            sector_evolution(ENC, fock, theta)
+            fock_sector(ENC, fock).amplitudes(theta)
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize(
         "fock, theta", [((1, 1), 8e307), ((1, 1), -8e307), ((1, 1), 1e300), ((0, 0), 1e308)]
     )
     def test_huge_theta_with_finite_phases_evolves(self, fock, theta):
-        out = sector_evolution(ENC, fock, theta)
+        out = fock_sector(ENC, fock).amplitudes(theta)
         assert np.sum(np.abs(out) ** 2) == pytest.approx(1.0, abs=1e-12)

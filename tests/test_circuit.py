@@ -32,7 +32,7 @@ from homsim.circuit import (
 )
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
-from homsim.statevector import apply_circuit, apply_rotations, circuit_unitary, init_basis
+from homsim.statevector import apply_circuit, circuit_unitary, evolve, init_basis, rotation_tables
 
 ENC = FockEncoding(2)
 
@@ -95,15 +95,15 @@ OFF_WIDTH = [
 @pytest.mark.parametrize("n, axes", OFF_WIDTH, ids=[f"{n}-{a}" for n, a in OFF_WIDTH])
 def test_emitter_and_rotation_pass_share_the_width_rule(n, axes):
     start = init_basis(n, "1" * n)
-    off = [(PauliTerm.from_label(1.0, axes), 0.3)]
+    off = PauliTerm.from_label(1.0, axes)
     with pytest.raises(ValueError, match=f"register of {n}"):
-        trotter_circuit(off, n, 1)
+        trotter_circuit([(off, 0.3)], n, 1)
     with pytest.raises(ValueError, match=f"register of {n}"):
-        apply_rotations(start, off)
-    fits = [(PauliTerm.from_label(1.0, "X" + "Z" * (n - 1)), 0.3)]
+        rotation_tables(n, [off])
+    fits = PauliTerm.from_label(1.0, "X" + "Z" * (n - 1))
     np.testing.assert_allclose(
-        apply_rotations(start, fits).amplitudes,
-        apply_circuit(start, trotter_circuit(fits, n, 1)).amplitudes,
+        evolve(start, rotation_tables(n, [fits]), [0.3]).amplitudes,
+        apply_circuit(start, trotter_circuit([(fits, 0.3)], n, 1)).amplitudes,
         rtol=0, atol=1e-12,
     )
 

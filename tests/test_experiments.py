@@ -214,7 +214,7 @@ class TestRunHom:
 
     def test_rng_algorithm_recorded(self):
         report = run_hom(ExperimentConfig(exact=True, seed=5))
-        assert report.rng == {"algorithm": "numpy-pcg64", "seed": 5}
+        assert report.to_dict()["rng"] == {"algorithm": "numpy-pcg64", "seed": 5}
 
 
 class TestCompiledStep:
@@ -232,7 +232,9 @@ class TestCompiledStep:
         for theta, steps in [(0.7, 1), (math.pi / 4, 3), (1.4, 5)]:
             angles = bind_angles(compiled.terms, theta, steps)
             fast = sv.evolve(start, compiled.tables, angles, steps).amplitudes
-            rotations = sv.apply_rotations(start, trotter_sequence(inter, theta, steps), steps)
+            step = trotter_sequence(inter, theta, steps)
+            tables = sv.rotation_tables(n, [term for term, _ in step])
+            rotations = sv.evolve(start, tables, [angle for _, angle in step], steps)
             gates = sv.apply_circuit(start, synthesize(inter, theta, steps))
             assert fast.tobytes() == rotations.amplitudes.tobytes()
             np.testing.assert_allclose(fast, gates.amplitudes, rtol=0, atol=1e-12)
@@ -262,7 +264,7 @@ class TestCompiledStep:
     )
     def test_exact_run_refuses_a_step(self, compiled_for):
         config = ExperimentConfig(exact=True, qubits_per_mode=compiled_for.qubits_per_mode)
-        with pytest.raises(ValueError, match="exact run takes no compiled step"):
+        with pytest.raises(ValueError, match="exact=False does not fit the config"):
             run_hom(config, compile_step(compiled_for))
 
     @pytest.mark.parametrize("qpm", [1, 2, 3])
@@ -412,8 +414,8 @@ class TestCompiledStep:
         assert hashlib.sha256(json.dumps(sweep()).encode()).hexdigest() == digest
 
     def test_exact_sweep_reports_unchanged(self, monkeypatch):
-        # Every row's full report at qpm 3, as a lone run wrote it when each
-        # run rebuilt its sector and formatted every label.
+        # Every row's full report at qpm 3, as a lone run at the row's seed
+        # wrote it when each run rebuilt its sector and formatted every label.
         reports = []
         original = experiments.run_hom
 
@@ -426,12 +428,13 @@ class TestCompiledStep:
         sweep_theta(ExperimentConfig(qubits_per_mode=3), theta_grid(17))
         monkeypatch.undo()
         lone = [
-            run_hom(ExperimentConfig(theta=t, exact=True, qubits_per_mode=3)).to_json()
-            for t in theta_grid(17)
+            run_hom(ExperimentConfig(theta=t, seed=1234 + i, exact=True, qubits_per_mode=3))
+            .to_json()
+            for i, t in enumerate(theta_grid(17))
         ]
         assert reports == lone
         digest = hashlib.sha256("".join(reports).encode()).hexdigest()
-        assert digest == "e7e84dd78d2a3924ea0828f4a99faa48903ea1c62e46afe85b0c2c065935cead"
+        assert digest == "fc62f4e3fa0c354862963d4bb30faba2baa43e5df2a438cb08a8ce22c4500794"
 
 
 class TestSweepTrotter:
@@ -470,6 +473,19 @@ class TestSweepTheta:
         assert rows[0]["p_0101"] == pytest.approx(1.0, abs=1e-9)
         assert rows[1]["p_0101"] == pytest.approx(0.0, abs=1e-9)
         assert rows[2]["p_0101"] == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("use_circuit", [False, True], ids=["exact", "circuit"])
+    def test_row_seeds_derive_from_the_base_seed(self, monkeypatch, use_circuit):
+        reports = []
+        original = experiments.run_hom
+
+        def kept(*args):
+            reports.append(original(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(experiments, "run_hom", kept)
+        sweep_theta(ExperimentConfig(seed=40), theta_grid(17), use_circuit=use_circuit)
+        assert [r.to_dict()["rng"]["seed"] for r in reports] == list(range(40, 57))
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):

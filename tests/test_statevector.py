@@ -18,7 +18,6 @@ from homsim.statevector import (
     StateVector,
     apply_circuit,
     apply_dense,
-    apply_rotations,
     circuit_unitary,
     fidelity,
     init_basis,
@@ -256,24 +255,26 @@ def hermitian_runs(draw):
     return Interaction(op=op), theta, steps, start
 
 
-class TestApplyRotations:
+class TestRotationPass:
     @given(hermitian_runs())
     def test_matches_gate_path(self, run):
         # RZ(2α) and RX(2α) are exactly exp(-iαZ) and exp(-iαX): no phase to remove.
         inter, theta, steps, start = run
-        fast = apply_rotations(start, trotter_sequence(inter, theta, steps), steps)
+        step = trotter_sequence(inter, theta, steps)
+        tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
+        fast = sv.evolve(start, tables, [angle for _, angle in step], steps)
         gates = apply_circuit(start, synthesize(inter, theta, steps))
         np.testing.assert_allclose(fast.amplitudes, gates.amplitudes, rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         term = PauliTerm.from_label(1.0, "XYZ")
         with pytest.raises(ValueError, match="does not fit a register of 2"):
-            apply_rotations(init_basis(2, "00"), [(term, 0.1)])
+            sv.rotation_tables(2, [term])
 
     def test_repeat_below_one_rejected(self):
-        step = [(PauliTerm.from_label(1.0, "XY"), 0.1)]
+        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
         with pytest.raises(ValueError, match="repeat must be >= 1"):
-            apply_rotations(init_basis(2, "00"), step, 0)
+            sv.evolve(init_basis(2, "00"), tables, [0.1], 0)
 
     def test_evolve_refuses_tables_of_another_register(self):
         tables = sv.rotation_tables(3, [PauliTerm.from_label(1.0, "XYZ")])
@@ -289,7 +290,7 @@ class TestApplyRotations:
         monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
         s = init_basis(4, "0000")
         with pytest.raises(ValueError, match="capped at 3 qubits") as fast:
-            apply_rotations(s, [(PauliTerm.from_label(1.0, "XIII"), 0.1)])
+            sv.rotation_tables(4, [PauliTerm.from_label(1.0, "XIII")])
         with pytest.raises(ValueError) as gates:
             apply_circuit(s, Circuit(4, (Gate("H", 0),)))
         assert str(fast.value) == str(gates.value)
@@ -302,7 +303,8 @@ class TestApplyRotations:
         start = init_basis(8, "00010001")
         tracemalloc.start()
         try:
-            apply_rotations(start, sequence)
+            tables = sv.rotation_tables(8, [term for term, _ in sequence])
+            sv.evolve(start, tables, [angle for _, angle in sequence])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
