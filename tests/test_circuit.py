@@ -15,6 +15,7 @@ from conftest import (
     phase_fidelity,
     reference_rotation_gates,
 )
+from homsim import circuit
 from homsim.beamsplitter import Interaction, interaction, reduced_interaction
 from homsim.circuit import (
     MAX_ROTATIONS,
@@ -479,6 +480,30 @@ class TestMetrics:
         want = [layered_metrics(Circuit(n, step * r)) for r in repeats]
         for _ in range(2):
             assert [profile.metrics(r) for r in repeats] == want
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [2, 3])
+    def test_step_profile_resumes_from_the_deepest_composed_repeat(
+        self, monkeypatch, qpm, reduced
+    ):
+        # Out of order and past n: each depth is a fresh profile's and the
+        # plain walk's, whichever composed repeat it resumed from.
+        enc = FockEncoding(qpm)
+        inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
+        n = 2 * qpm
+        step = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1).step
+        repeats = [64, 8, 100, 3, 17, 16]
+        busy, walked = [0] * n, {}
+        for r in range(1, max(repeats) + 1):
+            walked[r] = max(circuit._layer(step, busy))
+        fresh = [StepProfile(n, step).metrics(r) for r in repeats]
+        calls = []
+        delays = circuit._delays
+        monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
+        profile = StepProfile(n, step)
+        assert [profile.metrics(r) for r in repeats] == fresh
+        assert [m["depth"] for m in fresh] == [walked[r] for r in repeats]
+        assert len(calls) == 1
 
     def test_step_profile_refuses_repeat_below_one(self):
         profile = StepProfile(2, rotation_circuit("XY", 0.3).step)

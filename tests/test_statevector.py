@@ -10,7 +10,8 @@ from scipy import stats
 from conftest import apply_gate, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
-from homsim.circuit import Circuit, Gate, synthesize, trotter_sequence
+from homsim.circuit import Circuit, Gate, bind_angles, synthesize, trotter_sequence
+from homsim.experiments import ExperimentConfig, compile_step
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
 from homsim.statevector import (
@@ -255,7 +256,65 @@ def hermitian_runs(draw):
     return Interaction(op=op), theta, steps, start
 
 
+def plain_evolve(s, tables, angles, repeat=1):
+    """Reference rotation pass: one fresh vector expression per string, Python-scalar weights."""
+    weights = [
+        (math.cos(a), math.sin(a) * phase)
+        for a, (_, _, phase) in zip(angles, tables.actions, strict=True)
+    ]
+    psi = s.amplitudes
+    for _ in range(repeat):
+        for (gather, sign, _), (cos, sin_phase) in zip(tables.actions, weights):
+            psi = cos * psi + sin_phase * (sign * psi)[gather]
+    return psi
+
+
+def random_state(n, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(n, psi / np.linalg.norm(psi))
+
+
 class TestRotationPass:
+    @given(hermitian_runs())
+    def test_bit_for_bit_the_plain_expression(self, run):
+        # The in-place pass keeps every operand and its order: equal bytes,
+        # signed zero angles included.
+        inter, theta, steps, start = run
+        for angle in (theta, 0.0, -0.0):
+            step = trotter_sequence(inter, angle, steps)
+            tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
+            angles = [a for _, a in step]
+            fast = sv.evolve(start, tables, angles, steps).amplitudes
+            assert fast.tobytes() == plain_evolve(start, tables, angles, steps).tobytes()
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
+    def test_compiled_step_bit_for_bit_the_plain_expression(self, qpm, reduced):
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
+        n = 2 * qpm
+        starts = [random_state(n, qpm), init_basis(n, compiled.labels[compiled.sector.start])]
+        for theta, steps in [(0.7, 1), (-1.3, 2), (0.0, 1), (-0.0, 2), (math.pi / 4, 3)]:
+            angles = bind_angles(compiled.terms, theta, steps)
+            for start in starts:
+                fast = sv.evolve(start, compiled.tables, angles, steps).amplitudes
+                slow = plain_evolve(start, compiled.tables, angles, steps)
+                assert fast.tobytes() == slow.tobytes()
+
+    @pytest.mark.parametrize("strings", [0, 1, 32])
+    def test_leaves_the_start_alone(self, strings):
+        # The pass works in place on its own copy: the start keeps its bytes,
+        # shares no memory with the result, and a second run from it agrees.
+        compiled = compile_step(ExperimentConfig())
+        tables = sv.rotation_tables(4, [term for term, _ in compiled.terms[:strings]])
+        angles = bind_angles(compiled.terms[:strings], 0.7, 3)
+        start = random_state(4, 5)
+        before = start.amplitudes.tobytes()
+        first = sv.evolve(start, tables, angles, 3).amplitudes
+        assert start.amplitudes.tobytes() == before
+        assert not np.shares_memory(first, start.amplitudes)
+        assert sv.evolve(start, tables, angles, 3).amplitudes.tobytes() == first.tobytes()
+
     @given(hermitian_runs())
     def test_matches_gate_path(self, run):
         # RZ(2α) and RX(2α) are exactly exp(-iαZ) and exp(-iαX): no phase to remove.
