@@ -12,10 +12,10 @@ its real coefficient; ``bind_angles`` turns it into the angles θ·coeff/steps
 and is the one place they are computed, so an overflowing θ and more
 than ``MAX_ROTATIONS`` rotations are refused there. ``trotter_sequence``
 pairs the two into one step, and a ``Circuit`` is that step's gates and a
-repeat count. Validation, gate counts and the
-QASM text are worked out from the step once. A ``StepProfile`` is the one
-metrics path: it walks the step for up to n repeats and past that composes
-the step's per-qubit max-plus delays, built on first need and kept.
+repeat count. Validation, gate counts and the QASM text are worked out
+from the step once. A ``StepProfile`` is the one metrics path: it walks
+the step for up to n repeats and past that composes the step's per-qubit
+max-plus delays; each part is built on first need and kept.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its
 ``PauliTerm.xz`` masks, never from axes text or the code's digits. Within
 one call the CNOT ladder and last qubit of each active mask and the basis
@@ -256,19 +256,17 @@ def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], 
 class StepProfile:
     """The metrics of ``step`` repeated any number of times on ``n_qubits``.
 
-    Depth is greedy layering, disjoint qubits commuting. The step's max-plus
-    delay rows take n_qubits walks to build, so up to n_qubits repeats
-    ``metrics`` walks the step that many times and past that composes the
-    rows, built on first need and kept, as are the per-kind counts and the
-    depth of each repeat asked for (a θ sweep asks for one every row). A
-    composed busy vector is kept too, so a deeper repeat resumes from the
-    deepest one composed below it: steps 1, 2, 4, …, 64 at 4 qubits compose
-    64 steps, not 8 + 16 + 32 + 64.
+    Depth is greedy layering, disjoint qubits commuting. Each part is built
+    on first need and kept: the per-kind counts, the step's max-plus delay
+    rows, and the per-qubit busy vector of each repeat asked for. A repeat
+    resumes from the deepest busy vector kept below it: up to n_qubits it
+    walks the step from there, past that it composes the delay rows, which
+    take n_qubits walks to build.
     """
 
     n_qubits: int
     step: tuple[Gate, ...]
-    _depths: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _busy: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def _kinds(self) -> Counter:
@@ -278,31 +276,24 @@ class StepProfile:
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         return _delays(self.step, self.n_qubits)
 
-    @cached_property
-    def _composed(self) -> dict[int, list[int]]:
-        return {}
-
     def metrics(self, repeat: int) -> dict:
         """Depth, CX count, per-kind and total gate counts of ``repeat`` steps."""
         if repeat < 1:
             raise ValueError("repeat must be >= 1")
-        depth = self._depths.get(repeat)
-        if depth is None:
-            busy = [0] * self.n_qubits
-            if repeat <= self.n_qubits:
-                for _ in range(repeat):
+        kept = self._busy
+        busy = kept.get(repeat)
+        if busy is None:
+            done = max((r for r in kept if r < repeat), default=0)
+            busy = kept.get(done, [0] * self.n_qubits)[:]
+            for _ in range(repeat - done):
+                if repeat <= self.n_qubits:
                     _layer(self.step, busy)
-            else:
-                rows, composed = self._rows, self._composed
-                done = max((r for r in composed if r < repeat), default=0)
-                busy = composed.get(done, busy)
-                for _ in range(repeat - done):
-                    busy = [max(busy[j] + d for j, d in row) for row in rows]
-                composed[repeat] = busy
-            depth = self._depths[repeat] = max(busy, default=0)
+                else:
+                    busy = [max(busy[j] + d for j, d in row) for row in self._rows]
+            kept[repeat] = busy
         kinds = self._kinds
         return {
-            "depth": depth,
+            "depth": max(busy, default=0),
             "cx_count": kinds["CNOT"] * repeat,
             "gate_counts": {k: v * repeat for k, v in sorted(kinds.items())},
             "total_gates": len(self.step) * repeat,

@@ -7,20 +7,20 @@ exact evolution is computed on the input's photon sector
 (``beamsplitter.fock_sector``), a matrix of at most N+1 rows, so no run
 builds a dense operator. A circuit run evolves the state by the product of
 Pauli rotations the circuit compiles (``statevector.evolve``), and the
-tests cross-check it against running the circuit gate by gate. Everything a
-run needs that depends on neither θ nor the step count is one
-``CompiledStep``: on both paths the sector's eigenbasis and the register's
-bitstring labels, on the circuit path also H's terms, the rotation tables
-and the step's gate profile. ``compile_step`` alone picks a config's H and
-input. A run binds θ/steps to a step that fits its config, or to its own; a
-sweep compiles once; the circuit report emits from one step per H. Start
-states and sweep columns are labels of sector rows. The circuit is compiled
-from the full beam-splitter H, or with ``reduced`` from H projected onto
-the input's 2-photon sector, at any number of qubits per mode; the step
-count and ``reduced`` only shape the circuit, so an exact config refuses
-them. A config checks itself when built (a sweep row's ``replace`` too), so
-no entry point re-checks it. Reports are output only: ``to_json`` writes
-one, and nothing reads one back. Defaults reproduce the reference setup: 2
+tests cross-check it against running the circuit gate by gate.
+
+What a run keeps follows one rule: a ``CompiledStep`` is its key (qubits
+per mode, full/reduced H, exact/circuit path), and each part that depends
+on neither θ nor the step count is built from the key on first need and
+kept. A run binds θ/steps to a step whose key is its config's, or to its
+own; a sweep binds every row to one step; the circuit report emits from
+one step per H. Start states and sweep columns are labels of sector rows.
+The circuit is compiled from the full beam-splitter H, or with ``reduced``
+from H projected onto the input's 2-photon sector; the step count and
+``reduced`` only shape the circuit, so an exact config refuses them. A
+config checks itself when built (a sweep row's ``replace`` too), and a
+sweep refuses a row value the config would not take. Reports are output
+only: nothing reads one back. Defaults reproduce the reference setup: 2
 qubits per mode, a 1:1 splitter (θ = π/4), 10,000 shots.
 """
 from __future__ import annotations
@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -118,26 +119,38 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CompiledStep:
-    """A config's run with θ and the step count left unbound.
+    """A config's run with θ and the step count left unbound: its key.
 
-    It holds what depends only on the encoding, the full/reduced choice and
-    the exact/circuit path: the input's ``Sector``, the register's bitstring
-    labels in index order and, on the circuit path, the step's terms with
-    their real coefficients. The rotation pass's tables and the
-    ``StepProfile`` of the step's gates, whose delay rows are built only
-    when a run asks for more repeats than qubits, are built from the terms
-    on first need and kept, so a run whose angles are refused builds
-    neither. A run binds θ/steps to it; ``circuit`` binds them and emits.
+    Two steps are equal, and hash alike, when their keys are. Each θ-free
+    part is built from the key on first need and kept: the input's
+    ``Sector``, the register's bitstring labels in index order, the step's
+    terms with their real coefficients, the rotation pass's tables and the
+    ``StepProfile`` of the step's gates. So an exact run never builds H, a
+    circuit report never builds the sector, and a run whose angles are
+    refused builds neither tables nor gates. A run binds θ/steps to it;
+    ``circuit`` binds them and emits.
     """
 
     qubits_per_mode: int
     reduced: bool
     exact: bool
-    sector: Sector
-    labels: tuple[str, ...]
-    terms: Optional[tuple[tuple[PauliTerm, float], ...]]
+
+    @cached_property
+    def sector(self) -> Sector:
+        return fock_sector(FockEncoding(self.qubits_per_mode), INPUT_FOCK)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        n = 2 * self.qubits_per_mode
+        return tuple(format(i, f"0{n}b") for i in range(2 ** n))
+
+    @cached_property
+    def terms(self) -> tuple[tuple[PauliTerm, float], ...]:
+        enc = FockEncoding(self.qubits_per_mode)
+        inter = reduced_interaction(enc, sum(INPUT_FOCK)) if self.reduced else interaction(enc)
+        return tuple(circ.step_terms(inter))
 
     @cached_property
     def tables(self) -> sv.RotationTables:
@@ -155,25 +168,9 @@ class CompiledStep:
 
 
 def compile_step(config: ExperimentConfig) -> CompiledStep:
-    """The ``CompiledStep`` of ``config``, exact or from its H, full or
-    ``reduced``; θ and steps are not read."""
-    encoding = FockEncoding(config.qubits_per_mode)
-    n = 2 * config.qubits_per_mode
-    terms = None
-    if not config.exact:
-        if config.reduced:
-            inter = reduced_interaction(encoding, sum(INPUT_FOCK))
-        else:
-            inter = interaction(encoding)
-        terms = tuple(circ.step_terms(inter))
-    return CompiledStep(
-        config.qubits_per_mode,
-        config.reduced,
-        config.exact,
-        fock_sector(encoding, INPUT_FOCK),
-        tuple(format(i, f"0{n}b") for i in range(2 ** n)),
-        terms,
-    )
+    """The ``CompiledStep`` of ``config``: its qubits per mode, full/reduced
+    choice and exact/circuit path; nothing is built here."""
+    return CompiledStep(config.qubits_per_mode, config.reduced, config.exact)
 
 
 def run_hom(
@@ -181,17 +178,12 @@ def run_hom(
 ) -> ExperimentReport:
     """One interference run: prep, evolve, measure statistics.
 
-    The run binds θ and the step count to ``compiled``, built for the same
-    qubits per mode, full/reduced choice and exact/circuit path, or
-    compiles its own.
+    The run binds θ and the step count to ``compiled``, whose key must be
+    ``config``'s, or compiles its own.
     """
     if compiled is None:
         compiled = compile_step(config)
-    elif (compiled.qubits_per_mode, compiled.reduced, compiled.exact) != (
-        config.qubits_per_mode,
-        config.reduced,
-        config.exact,
-    ):
+    elif compiled != compile_step(config):
         raise ValueError(
             f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
             f"reduced={compiled.reduced}, exact={compiled.exact} does not fit the config"
@@ -220,6 +212,17 @@ def run_hom(
     )
 
 
+def _row_values(values: Sequence, name: str, integral: bool = False) -> list:
+    """A sweep's row values as ints (``integral``) or floats, refusing an
+    empty sweep, a bool, a non-number and a fractional step count."""
+    if len(values) == 0:
+        raise ValueError(f"{name} must be non-empty")
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real) or (integral and v % 1 != 0):
+            raise ValueError(f"{name} takes {'whole ' if integral else ''}numbers, got {v!r}")
+    return [int(v) if integral else float(v) for v in values]
+
+
 def sweep_trotter(
     config: ExperimentConfig, steps_list: Sequence[int]
 ) -> list[dict]:
@@ -227,8 +230,7 @@ def sweep_trotter(
 
     The rows compare circuits, so a config on the exact path is refused.
     """
-    if not steps_list:
-        raise ValueError("steps_list must be non-empty")
+    steps_list = _row_values(steps_list, "steps_list", integral=True)
     if config.exact:
         raise ValueError("Trotter sweep requires the circuit path")
     compiled = compile_step(config)
@@ -237,11 +239,11 @@ def sweep_trotter(
     labels = [compiled.labels[r] for r in sorted(sector.rows, key=lambda r: r != sector.start)]
     rows = []
     for i, steps in enumerate(steps_list):
-        row_config = replace(config, trotter_steps=int(steps), seed=config.seed + i)
+        row_config = replace(config, trotter_steps=steps, seed=config.seed + i)
         report = run_hom(row_config, compiled)
         rows.append(
             {
-                "steps": int(steps),
+                "steps": steps,
                 **{f"p_{label}": report.probabilities[label] for label in labels},
                 "fidelity": report.fidelity,
                 "depth": report.metrics["depth"],
@@ -262,17 +264,16 @@ def sweep_theta(
     Evolves exactly on the input's photon sector unless ``use_circuit``
     requests the Trotterized circuit path.
     """
-    if len(theta_grid) == 0:
-        raise ValueError("theta_grid must be non-empty")
+    theta_grid = _row_values(theta_grid, "theta_grid")
     config = replace(config, exact=not use_circuit)
     compiled = compile_step(config)
     coincidence = compiled.labels[compiled.sector.start]
     rows = []
     for i, theta in enumerate(theta_grid):
-        report = run_hom(replace(config, theta=float(theta), seed=config.seed + i), compiled)
+        report = run_hom(replace(config, theta=theta, seed=config.seed + i), compiled)
         rows.append(
             {
-                "theta": float(theta),
+                "theta": theta,
                 f"p_{coincidence}": report.probabilities[coincidence],
             }
         )
@@ -293,6 +294,10 @@ def circuit_report(config: ExperimentConfig) -> dict:
 
 def theta_grid(points: int, stop: float = math.pi / 2) -> list[float]:
     """``points`` evenly spaced splitter angles over [0, stop], at most ``MAX_POINTS``."""
+    if isinstance(points, bool) or not isinstance(points, int):
+        raise ValueError(f"points must be int, got {points!r}")
     if not 1 <= points <= MAX_POINTS:
         raise ValueError(f"points must be in [1, {MAX_POINTS}]")
+    if not math.isfinite(stop):
+        raise ValueError("stop must be finite")
     return [float(t) for t in np.linspace(0.0, stop, points)]

@@ -487,23 +487,33 @@ class TestMetrics:
         self, monkeypatch, qpm, reduced
     ):
         # Out of order and past n: each depth is a fresh profile's and the
-        # plain walk's, whichever composed repeat it resumed from.
+        # plain walk's, whichever kept repeat it resumed from. The second
+        # order walks first; its 3 resumes from the walked 2.
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         n = 2 * qpm
         step = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1).step
-        repeats = [64, 8, 100, 3, 17, 16]
         busy, walked = [0] * n, {}
-        for r in range(1, max(repeats) + 1):
+        for r in range(1, 101):
             walked[r] = max(circuit._layer(step, busy))
-        fresh = [StepProfile(n, step).metrics(r) for r in repeats]
-        calls = []
-        delays = circuit._delays
-        monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
-        profile = StepProfile(n, step)
-        assert [profile.metrics(r) for r in repeats] == fresh
-        assert [m["depth"] for m in fresh] == [walked[r] for r in repeats]
-        assert len(calls) == 1
+        # Walks past building the n-walk delay rows: 64, 8, 100, 17 and 16
+        # compose, 3 walks three steps; 1, 2, 4 and 3 walk 1 + 1 + 2 + 1.
+        for repeats, walks in [([64, 8, 100, 3, 17, 16], 3), ([1, 2, 4, 8, 3], 5)]:
+            fresh = [StepProfile(n, step).metrics(r) for r in repeats]
+            calls, layers = [], []
+            delays, layer = circuit._delays, circuit._layer
+            monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
+            monkeypatch.setattr(circuit, "_layer", lambda *a: layers.append(1) or layer(*a))
+            profile = StepProfile(n, step)
+            got = [profile.metrics(r) for r in repeats]
+            monkeypatch.undo()
+            assert got == fresh
+            assert [m["depth"] for m in fresh] == [walked[r] for r in repeats]
+            assert len(calls) == 1
+            assert len(layers) == n + walks
+            # The written-out oracle, where it is cheap.
+            for r, m in zip(repeats, got):
+                assert r > 8 or m == layered_metrics(Circuit(n, step * r))
 
     def test_step_profile_refuses_repeat_below_one(self):
         profile = StepProfile(2, rotation_circuit("XY", 0.3).step)

@@ -254,6 +254,9 @@ class TestCompiledStep:
              "exact-qpm-2-for-3", "exact-for-full", "exact-for-reduced"],
     )
     def test_step_for_another_config_rejected(self, compiled_for, config):
+        # A step is its key: steps differing in any key field are unequal.
+        assert compile_step(compiled_for) != compile_step(config)
+        assert len({compile_step(compiled_for), compile_step(config)}) == 2
         with pytest.raises(ValueError, match="does not fit the config"):
             run_hom(config, compile_step(compiled_for))
 
@@ -289,6 +292,10 @@ class TestCompiledStep:
 
     def test_given_step_reproduces_the_report(self):
         config = ExperimentConfig(theta=0.9, trotter_steps=6, reduced=True, qubits_per_mode=3)
+        # θ, steps, shots and seed are outside the key: equal steps, one dict key.
+        other = compile_step(replace(config, theta=0.1, trotter_steps=3, shots=7, seed=9))
+        assert compile_step(config) == other
+        assert {compile_step(config): "kept"}[other] == "kept"
         alone = run_hom(config).to_json()
         assert run_hom(config, compile_step(replace(config, theta=0.1))).to_json() == alone
 
@@ -321,7 +328,8 @@ class TestCompiledStep:
         # The sector's eigenbasis, and on the circuit path H and the step's
         # gates, are built once; run_hom still runs per row.
         calls = dict.fromkeys(
-            ["interaction", "trotter_circuit", "fock_sector", "eigh", "run_hom"], 0
+            ["interaction", "reduced_interaction", "trotter_circuit", "fock_sector", "eigh",
+             "run_hom"], 0
         )
 
         def counted(name, fn):
@@ -330,14 +338,16 @@ class TestCompiledStep:
                 return fn(*args)
             return wrapper
 
-        for module, fn in [(experiments, "interaction"), (circuit, "trotter_circuit"),
-                           (experiments, "fock_sector"), (np.linalg, "eigh"),
-                           (experiments, "run_hom")]:
+        for module, fn in [(experiments, "interaction"), (experiments, "reduced_interaction"),
+                           (circuit, "trotter_circuit"), (experiments, "fock_sector"),
+                           (np.linalg, "eigh"), (experiments, "run_hom")]:
             monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
         sweep, rows, circuits = self.SWEEPS[name]
         sweep()
+        # An exact sweep builds no H.
         assert calls == {
             "interaction": circuits,
+            "reduced_interaction": 0,
             "trotter_circuit": circuits,
             "fock_sector": 1,
             "eigh": 1,
@@ -345,23 +355,27 @@ class TestCompiledStep:
         }
 
     @pytest.mark.parametrize(
-        "run, builds",
+        "run, builds, walks",
         [
-            (lambda: run_hom(ExperimentConfig(trotter_steps=1)), 0),
-            (lambda: run_hom(ExperimentConfig(trotter_steps=4)), 0),
-            (lambda: run_hom(ExperimentConfig(trotter_steps=5)), 1),
-            (lambda: sweep_trotter(ExperimentConfig(), [1, 2, 4, 8, 16, 32, 64]), 1),
+            (lambda: run_hom(ExperimentConfig(trotter_steps=1)), 0, 1),
+            (lambda: run_hom(ExperimentConfig(trotter_steps=4)), 0, 4),
+            (lambda: run_hom(ExperimentConfig(trotter_steps=5)), 1, 4),
+            (lambda: sweep_trotter(ExperimentConfig(), [1, 2, 4, 8, 16, 32, 64]), 1, 8),
         ],
         ids=["lone-1", "lone-2qpm", "lone-2qpm+1", "sweep"],
     )
-    def test_delay_rows_built_only_past_n_repeats(self, monkeypatch, run, builds):
+    def test_delay_rows_built_only_past_n_repeats(self, monkeypatch, run, builds, walks):
         # Up to n = 2·qpm repeats the depth walks the step; the n walks of the
-        # delay rows are made once, when a run first asks for more.
-        calls = []
-        delays = circuit._delays
+        # delay rows are made once, when a run first asks for more. The sweep
+        # walks 1, 2 and 4 from the repeat kept below each (1 + 1 + 2), then
+        # the 4 walks of the delay rows.
+        calls, layers = [], []
+        delays, layer = circuit._delays, circuit._layer
         monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
+        monkeypatch.setattr(circuit, "_layer", lambda *a: layers.append(1) or layer(*a))
         run()
         assert len(calls) == builds
+        assert len(layers) == walks
 
     def test_circuit_theta_sweep_walks_its_step_once_per_repeat(self, monkeypatch):
         # Every row asks for the depth of the same 3 repeats: walked once, not per row.
@@ -454,6 +468,22 @@ class TestSweepTrotter:
     def test_empty_steps_rejected(self):
         with pytest.raises(ValueError):
             sweep_trotter(ExperimentConfig(), [])
+        with pytest.raises(ValueError, match="^steps_list must be non-empty$"):
+            sweep_trotter(ExperimentConfig(), np.array([], dtype=int))
+
+    @pytest.mark.parametrize("bad", [2.5, True, "2", None, math.nan, np.float64(1.5)])
+    def test_step_count_the_config_refuses_rejected(self, monkeypatch, bad):
+        # Refused before any row runs, not truncated or coerced by int().
+        monkeypatch.setattr(experiments, "run_hom", lambda *a: pytest.fail("row ran"))
+        with pytest.raises(ValueError, match="^steps_list takes whole numbers, got "):
+            sweep_trotter(ExperimentConfig(), [1, bad])
+
+    def test_integral_step_counts_run_as_ints(self):
+        # A numpy array and integral floats give the rows of the plain int list.
+        want = sweep_trotter(ExperimentConfig(), [1, 2, 4])
+        assert sweep_trotter(ExperimentConfig(), np.array([1, 2, 4])) == want
+        assert sweep_trotter(ExperimentConfig(), [1.0, np.int64(2), 4]) == want
+        assert json.dumps(want) == json.dumps(sweep_trotter(ExperimentConfig(), (1.0, 2.0, 4.0)))
 
     def test_exact_config_rejected(self):
         with pytest.raises(ValueError, match="circuit path"):
@@ -490,6 +520,28 @@ class TestSweepTheta:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep_theta(ExperimentConfig(), [])
+        with pytest.raises(ValueError, match="^theta_grid must be non-empty$"):
+            sweep_theta(ExperimentConfig(), np.array([]))
+
+    @pytest.mark.parametrize("bad", [True, "0.5", None, 1j])
+    def test_angle_the_config_refuses_rejected(self, monkeypatch, bad):
+        monkeypatch.setattr(experiments, "run_hom", lambda *a: pytest.fail("row ran"))
+        with pytest.raises(ValueError, match="^theta_grid takes numbers, got "):
+            sweep_theta(ExperimentConfig(), [0.5, bad])
+
+    def test_numeric_angles_run_as_floats(self):
+        want = sweep_theta(ExperimentConfig(), [0.0, 0.5, 1.0])
+        assert sweep_theta(ExperimentConfig(), np.array([0, 0.5, 1])) == want
+        assert json.dumps(sweep_theta(ExperimentConfig(), [0, 0.5, 1])) == json.dumps(want)
+
+    @pytest.mark.parametrize(
+        "points, stop",
+        [(2.0, 1.0), (True, 1.0), ("3", 1.0), (3, math.inf), (3, -math.inf), (3, math.nan)],
+    )
+    def test_grid_of_bad_inputs_refused_before_it_is_built(self, monkeypatch, points, stop):
+        monkeypatch.setattr(np, "linspace", lambda *a: pytest.fail("grid built"))
+        with pytest.raises(ValueError, match="^(points must be int, got |stop must be finite$)"):
+            theta_grid(points, stop)
 
     @pytest.mark.parametrize("points", [0, MAX_POINTS + 1, 10**9])
     def test_grid_outside_the_cap_refused_before_it_is_built(self, monkeypatch, points):
@@ -565,7 +617,8 @@ class TestCircuitReport:
 
     def test_each_h_compiled_once(self, monkeypatch):
         calls = dict.fromkeys(
-            ["interaction", "reduced_interaction", "trotter_circuit", "synthesize"], 0
+            ["interaction", "reduced_interaction", "trotter_circuit", "synthesize",
+             "fock_sector"], 0
         )
 
         def counted(name, fn):
@@ -575,11 +628,14 @@ class TestCircuitReport:
             return wrapper
 
         for module, fn in [(experiments, "interaction"), (experiments, "reduced_interaction"),
-                           (circuit, "trotter_circuit"), (circuit, "synthesize")]:
+                           (circuit, "trotter_circuit"), (circuit, "synthesize"),
+                           (experiments, "fock_sector")]:
             monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
         circuit_report(ExperimentConfig(trotter_steps=3))
+        # The report reads no sector.
         assert calls == {
-            "interaction": 1, "reduced_interaction": 1, "trotter_circuit": 2, "synthesize": 0
+            "interaction": 1, "reduced_interaction": 1, "trotter_circuit": 2, "synthesize": 0,
+            "fock_sector": 0,
         }
 
 
