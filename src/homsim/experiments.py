@@ -12,9 +12,10 @@ tests cross-check it against running the circuit gate by gate.
 What a run keeps follows one rule: a ``CompiledStep`` is its key (qubits
 per mode, full/reduced H, exact/circuit path), and each part that depends
 on neither θ nor the step count is built from the key on first need and
-kept. A run binds θ/steps to a step whose key is its config's, or to its
-own; a sweep binds every row to one step; the circuit report emits from
-one step per H. Start states and sweep columns are labels of sector rows.
+kept. Runs of one key share the last step compiled, so a sweep or a
+repeated run builds each part once and the process holds one step at a
+time; the circuit report emits from one step per H. Start states and
+sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
 ``reduced`` only shape the circuit, so an exact config refuses them. A
@@ -30,7 +31,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -123,14 +124,14 @@ class ExperimentReport:
 class CompiledStep:
     """A config's run with θ and the step count left unbound: its key.
 
-    Two steps are equal, and hash alike, when their keys are. Each θ-free
-    part is built from the key on first need and kept: the input's
-    ``Sector``, the register's bitstring labels in index order, the step's
-    terms with their real coefficients, the rotation pass's tables and the
-    ``StepProfile`` of the step's gates. So an exact run never builds H, a
-    circuit report never builds the sector, and a run whose angles are
-    refused builds neither tables nor gates. A run binds θ/steps to it;
-    ``circuit`` binds them and emits.
+    Each θ-free part is built from the key on first need and kept: the
+    input's ``Sector``, the register's bitstring labels in index order, the
+    step's terms with their real coefficients, the rotation pass's tables
+    and the ``StepProfile`` of the step's gates. So an exact run never
+    builds H, a circuit report never builds the sector, and a run whose
+    angles are refused builds neither tables nor gates. ``compile_step``
+    keeps the last step it compiled, so the runs of one key share it: each
+    binds its θ/steps to it, and ``circuit`` binds them and emits.
     """
 
     qubits_per_mode: int
@@ -167,27 +168,20 @@ class CompiledStep:
         return circ.trotter_circuit(list(bound), 2 * self.qubits_per_mode, steps)
 
 
+# The last step compiled, kept for the next run of its key.
+_last_step = lru_cache(maxsize=1)(CompiledStep)
+
+
 def compile_step(config: ExperimentConfig) -> CompiledStep:
-    """The ``CompiledStep`` of ``config``: its qubits per mode, full/reduced
-    choice and exact/circuit path; nothing is built here."""
-    return CompiledStep(config.qubits_per_mode, config.reduced, config.exact)
+    """The ``CompiledStep`` of ``config``'s qubits per mode, full/reduced
+    choice and exact/circuit path: the last one compiled when the key is
+    the same, else a new one that replaces it."""
+    return _last_step(config.qubits_per_mode, config.reduced, config.exact)
 
 
-def run_hom(
-    config: ExperimentConfig, compiled: Optional[CompiledStep] = None
-) -> ExperimentReport:
-    """One interference run: prep, evolve, measure statistics.
-
-    The run binds θ and the step count to ``compiled``, whose key must be
-    ``config``'s, or compiles its own.
-    """
-    if compiled is None:
-        compiled = compile_step(config)
-    elif compiled != compile_step(config):
-        raise ValueError(
-            f"step compiled for qubits_per_mode={compiled.qubits_per_mode}, "
-            f"reduced={compiled.reduced}, exact={compiled.exact} does not fit the config"
-        )
+def run_hom(config: ExperimentConfig) -> ExperimentReport:
+    """One interference run on ``config``'s step: prep, evolve, measure statistics."""
+    compiled = compile_step(config)
     n = 2 * config.qubits_per_mode
     exact_state = sv.StateVector(n, compiled.sector.amplitudes(config.theta))
 
@@ -239,8 +233,7 @@ def sweep_trotter(
     labels = [compiled.labels[r] for r in sorted(sector.rows, key=lambda r: r != sector.start)]
     rows = []
     for i, steps in enumerate(steps_list):
-        row_config = replace(config, trotter_steps=steps, seed=config.seed + i)
-        report = run_hom(row_config, compiled)
+        report = run_hom(replace(config, trotter_steps=steps, seed=config.seed + i))
         rows.append(
             {
                 "steps": steps,
@@ -270,7 +263,7 @@ def sweep_theta(
     coincidence = compiled.labels[compiled.sector.start]
     rows = []
     for i, theta in enumerate(theta_grid):
-        report = run_hom(replace(config, theta=theta, seed=config.seed + i), compiled)
+        report = run_hom(replace(config, theta=theta, seed=config.seed + i))
         rows.append(
             {
                 "theta": theta,

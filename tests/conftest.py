@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from homsim import experiments
 from homsim.circuit import Circuit, Gate
 from homsim.gray import (
     FockEncoding,
@@ -146,6 +147,33 @@ def xz_reads(monkeypatch):
 
     monkeypatch.setattr(PauliTerm, "xz", property(counted))
     return reads
+
+
+@pytest.fixture(autouse=True)
+def clear_step():
+    """Drops the step ``compile_step`` keeps, so each test compiles its own;
+    a test that asks for it gets the clear to call again."""
+    experiments._last_step.cache_clear()
+    return experiments._last_step.cache_clear
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls((owner, name), ...)`` counts each named function's calls
+    from here on, in one dict by name that it returns."""
+    calls: dict[str, int] = {}
+
+    def install(*targets):
+        for owner, name in targets:
+            def counted(*args, _name=name, _fn=getattr(owner, name)):
+                calls[_name] += 1
+                return _fn(*args)
+
+            calls[name] = 0
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    return install
 
 
 @pytest.fixture

@@ -68,23 +68,14 @@ class TestInteraction:
         n_total = (n_mode.tensor(ident) + ident.tensor(n_mode)).to_matrix()
         np.testing.assert_allclose(h @ n_total - n_total @ h, 0, atol=1e-12)
 
-    def test_summed_without_operator_algebra(self, monkeypatch):
+    def test_summed_without_operator_algebra(self, monkeypatch, count_calls):
         # H = T + T† is summed in one pass over pairs of b† terms: no tensor
         # product, adjoint or sum (25,600-term T and T† at 5 qubits per mode).
         # b† is built beforehand, so only the work of interaction is counted.
         enc = FockEncoding(3)
         b_dag = creation_op(enc)
-        calls = {"tensor": 0, "adjoint": 0, "__add__": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
         monkeypatch.setattr(beamsplitter, "creation_op", lambda _: b_dag)
-        for name in calls:
-            monkeypatch.setattr(PauliOp, name, counted(name, getattr(PauliOp, name)))
+        calls = count_calls(*[(PauliOp, name) for name in ("tensor", "adjoint", "__add__")])
         assert len(interaction(enc).op) > 0
         assert calls == {"tensor": 0, "adjoint": 0, "__add__": 0}
 

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import math
 import time
+import weakref
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -92,21 +94,11 @@ class TestRunHom:
         ],
         ids=["exact", "circuit", "reduced"],
     )
-    def test_operator_work_per_run(self, monkeypatch, config, hermitian_checks, full_builds):
+    def test_operator_work_per_run(self, count_calls, config, hermitian_checks, full_builds):
         # The exact state comes from the photon sector: no dense matrix, and
         # the full H only for the circuit compiled from it, checked once.
-        calls = {"is_hermitian": 0, "to_matrix": 0, "interaction": 0}
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for name in ("is_hermitian", "to_matrix"):
-            monkeypatch.setattr(PauliOp, name, counted(name, getattr(PauliOp, name)))
-        monkeypatch.setattr(
-            experiments, "interaction", counted("interaction", experiments.interaction)
+        calls = count_calls(
+            (PauliOp, "is_hermitian"), (PauliOp, "to_matrix"), (experiments, "interaction")
         )
         run_hom(config)
         assert calls == {
@@ -240,7 +232,25 @@ class TestCompiledStep:
             np.testing.assert_allclose(fast, gates.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "compiled_for, config",
+        "config",
+        [
+            ExperimentConfig(theta=0.9, trotter_steps=6, reduced=True, qubits_per_mode=3),
+            ExperimentConfig(theta=0.9),
+            ExperimentConfig(theta=0.9, exact=True),
+        ],
+        ids=["reduced-qpm-3", "full", "exact"],
+    )
+    def test_one_step_per_key(self, config):
+        # θ, steps, shots and seed are outside the key: every run of it shares one step.
+        step = compile_step(config)
+        changes = [{"theta": 0.1}, {"shots": 7}, {"seed": 9}]
+        if not config.exact:
+            changes += [{"trotter_steps": 3}, {"theta": 0.1, "trotter_steps": 3, "shots": 7}]
+        for change in changes:
+            assert compile_step(replace(config, **change)) is step
+
+    @pytest.mark.parametrize(
+        "first, then",
         [
             (ExperimentConfig(), ExperimentConfig(qubits_per_mode=3)),
             (ExperimentConfig(qubits_per_mode=3), ExperimentConfig()),
@@ -250,31 +260,54 @@ class TestCompiledStep:
             (ExperimentConfig(exact=True), ExperimentConfig()),
             (ExperimentConfig(exact=True), ExperimentConfig(reduced=True)),
         ],
-        ids=["qpm-2-for-3", "qpm-3-for-2", "full-for-reduced", "reduced-for-full",
-             "exact-qpm-2-for-3", "exact-for-full", "exact-for-reduced"],
+        ids=["qpm-2-then-3", "qpm-3-then-2", "full-then-reduced", "reduced-then-full",
+             "exact-qpm-2-then-3", "exact-then-full", "exact-then-reduced"],
     )
-    def test_step_for_another_config_rejected(self, compiled_for, config):
-        # A step is its key: steps differing in any key field are unequal.
-        assert compile_step(compiled_for) != compile_step(config)
-        assert len({compile_step(compiled_for), compile_step(config)}) == 2
-        with pytest.raises(ValueError, match="does not fit the config"):
-            run_hom(config, compile_step(compiled_for))
+    def test_another_key_replaces_the_step(self, first, then):
+        # A step differing in any key field is another, unequal object, and
+        # once it is compiled the first step, its parts built by a run, is
+        # gone: one step is kept.
+        step = compile_step(first)
+        run_hom(first)
+        other = compile_step(then)
+        assert other is not step and other != step
+        kept = weakref.ref(step)
+        del step
+        gc.collect()
+        assert kept() is None
 
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize(
-        "compiled_for",
-        [ExperimentConfig(), ExperimentConfig(reduced=True), ExperimentConfig(qubits_per_mode=3)],
-        ids=["full", "reduced", "qpm-3"],
+        "earlier",
+        [
+            lambda config: run_hom(replace(config, theta=0.1, seed=3)),
+            lambda config: run_hom(replace(config, trotter_steps=64)),
+            circuit_report,
+            lambda config: run_hom(replace(config, qubits_per_mode=3)),
+        ],
+        ids=["other-theta", "64-step-run", "circuit-report", "other-key"],
     )
-    def test_exact_run_refuses_a_step(self, compiled_for):
-        config = ExperimentConfig(exact=True, qubits_per_mode=compiled_for.qubits_per_mode)
-        with pytest.raises(ValueError, match="exact=False does not fit the config"):
-            run_hom(config, compile_step(compiled_for))
+    def test_used_step_reports_as_a_fresh_one(self, clear_step, earlier, reduced):
+        # The 64-step run leaves the profile's depths of 64 repeats on the
+        # step; the circuit report leaves its reduced step, the one a reduced
+        # run then shares.
+        config = ExperimentConfig(theta=0.9, trotter_steps=5, shots=100, reduced=reduced)
+        fresh = run_hom(config).to_json()
+        clear_step()
+        earlier(config)
+        assert run_hom(config).to_json() == fresh
 
     @pytest.mark.parametrize("qpm", [1, 2, 3])
-    def test_given_exact_step_reproduces_the_report(self, qpm):
-        config = ExperimentConfig(theta=0.9, exact=True, qubits_per_mode=qpm, seed=7)
-        alone = run_hom(config).to_json()
-        assert run_hom(config, compile_step(replace(config, theta=0.1))).to_json() == alone
+    def test_exact_and_circuit_runs_back_to_back(self, clear_step, qpm):
+        exact = ExperimentConfig(theta=0.9, exact=True, qubits_per_mode=qpm, seed=7)
+        circuit_run = replace(exact, exact=False, trotter_steps=3)
+        fresh = {}
+        for config in (exact, circuit_run):
+            clear_step()
+            fresh[config] = run_hom(config).to_json()
+        clear_step()
+        runs = [exact, exact, circuit_run, circuit_run, exact]
+        assert [run_hom(config).to_json() for config in runs] == [fresh[c] for c in runs]
 
     def test_refused_bind_builds_no_tables_or_gates(self, monkeypatch):
         # The cap is checked once the terms exist, before the step is built.
@@ -289,15 +322,6 @@ class TestCompiledStep:
         assert calls == []
         run_hom(ExperimentConfig(trotter_steps=2))
         assert sorted(calls) == ["rotation_tables", "trotter_circuit"]
-
-    def test_given_step_reproduces_the_report(self):
-        config = ExperimentConfig(theta=0.9, trotter_steps=6, reduced=True, qubits_per_mode=3)
-        # θ, steps, shots and seed are outside the key: equal steps, one dict key.
-        other = compile_step(replace(config, theta=0.1, trotter_steps=3, shots=7, seed=9))
-        assert compile_step(config) == other
-        assert {compile_step(config): "kept"}[other] == "kept"
-        alone = run_hom(config).to_json()
-        assert run_hom(config, compile_step(replace(config, theta=0.1))).to_json() == alone
 
     @pytest.mark.parametrize("qpm", [3, 4])
     def test_overflowing_circuit_angle_names_theta(self, qpm):
@@ -324,24 +348,14 @@ class TestCompiledStep:
     }
 
     @pytest.mark.parametrize("name", SWEEPS)
-    def test_one_compile_per_sweep(self, monkeypatch, name):
+    def test_one_compile_per_sweep(self, count_calls, name):
         # The sector's eigenbasis, and on the circuit path H and the step's
         # gates, are built once; run_hom still runs per row.
-        calls = dict.fromkeys(
-            ["interaction", "reduced_interaction", "trotter_circuit", "fock_sector", "eigh",
-             "run_hom"], 0
+        calls = count_calls(
+            (experiments, "interaction"), (experiments, "reduced_interaction"),
+            (circuit, "trotter_circuit"), (experiments, "fock_sector"), (np.linalg, "eigh"),
+            (experiments, "run_hom"),
         )
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for module, fn in [(experiments, "interaction"), (experiments, "reduced_interaction"),
-                           (circuit, "trotter_circuit"), (experiments, "fock_sector"),
-                           (np.linalg, "eigh"), (experiments, "run_hom")]:
-            monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
         sweep, rows, circuits = self.SWEEPS[name]
         sweep()
         # An exact sweep builds no H.
@@ -615,22 +629,11 @@ class TestCircuitReport:
         if config.theta == 0:
             assert "rz(-0) " in text and "rz(0) " in text
 
-    def test_each_h_compiled_once(self, monkeypatch):
-        calls = dict.fromkeys(
-            ["interaction", "reduced_interaction", "trotter_circuit", "synthesize",
-             "fock_sector"], 0
+    def test_each_h_compiled_once(self, count_calls):
+        calls = count_calls(
+            (experiments, "interaction"), (experiments, "reduced_interaction"),
+            (circuit, "trotter_circuit"), (circuit, "synthesize"), (experiments, "fock_sector"),
         )
-
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-            return wrapper
-
-        for module, fn in [(experiments, "interaction"), (experiments, "reduced_interaction"),
-                           (circuit, "trotter_circuit"), (circuit, "synthesize"),
-                           (experiments, "fock_sector")]:
-            monkeypatch.setattr(module, fn, counted(fn, getattr(module, fn)))
         circuit_report(ExperimentConfig(trotter_steps=3))
         # The report reads no sector.
         assert calls == {
