@@ -14,8 +14,12 @@ per mode, full/reduced H, exact/circuit path), and each part that depends
 on neither θ nor the step count is built from the key on first need and
 kept. Runs of one key share the last step compiled, so a sweep or a
 repeated run builds each part once and the process holds one step at a
-time; the circuit report emits from one step per H. Start states and
-sweep columns are labels of sector rows.
+time; the circuit report emits from one step per H. A sweep calls
+``run_hom`` once per row, the one place a report is built, but evolves its
+circuit rows ahead in batches of one rotation pass each: the step keeps
+each row's exact and evolved states, by the row's config, until that
+row's run takes them.
+Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
 ``reduced`` only shape the circuit, so an exact config refuses them. A
@@ -32,7 +36,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -46,8 +50,8 @@ from .pauli import PauliTerm
 INPUT_FOCK = (1, 1)
 
 # The widest register whose circuit run is measured: a 1-step run_hom takes
-# 3.5–4.0 s and 101 MB peak RSS in its own process on a shared 2-core host
-# (one BLAS thread).
+# 2.4–3.4 s and 115 MB peak RSS in its own process, imports included, on a
+# shared 2-core host (one BLAS thread).
 MAX_QUBITS_PER_MODE = 6
 
 # Declared config field type (a string under postponed annotations) ->
@@ -61,6 +65,16 @@ MAX_SHOTS = 2 ** 63 - 1
 # The most angles one theta grid holds: at 6 qubits per mode an exact sweep over
 # them takes 2.2 s, a circuit sweep 2.1 s a row (one BLAS thread, 2-core host).
 MAX_POINTS = 4096
+
+# The most weights one batch of sweep rows writes out: strings × rows × 2^n
+# amplitudes, 32 bytes each (cos and sin); with its signs and gathers a full
+# batch at 3 qubits per mode peaked at 4.8 MB. Batch of m one-step rows
+# against m lone runs (best of 6–40, shared 2-core host, one BLAS thread):
+# 2 qubits per mode, m = 2 took 0.86×, 7 0.42×, 16 0.33×; 3 qubits, m = 2
+# 0.73×, 4 0.53×, 16 0.35×; 4 qubits, m = 2 1.12×, 4 0.98×; 5 qubits, m = 2
+# 1.72×. So a batch holds 256 rows at 2 qubits per mode, 7 at 3, and rows
+# from 4 qubits per mode up run alone.
+BATCH_WEIGHTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -131,7 +145,10 @@ class CompiledStep:
     builds H, a circuit report never builds the sector, and a run whose
     angles are refused builds neither tables nor gates. ``compile_step``
     keeps the last step it compiled, so the runs of one key share it: each
-    binds its θ/steps to it, and ``circuit`` binds them and emits.
+    binds its θ/steps to it, ``evolve`` binds those of a batch of configs
+    and evolves them in one rotation pass, and ``circuit`` binds them and
+    emits. ``pending`` holds the exact and evolved states of the rows a
+    sweep evolved ahead, by row config, until each row's run takes its own.
     """
 
     qubits_per_mode: int
@@ -162,6 +179,27 @@ class CompiledStep:
         # At θ = 1 and one step each angle is its coefficient; the profile reads no angle.
         return circ.StepProfile(2 * self.qubits_per_mode, self.circuit(1.0, 1).step)
 
+    @cached_property
+    def pending(self) -> dict[ExperimentConfig, tuple[sv.StateVector, sv.StateVector]]:
+        return {}
+
+    def evolve(
+        self, configs: Sequence[ExperimentConfig]
+    ) -> list[tuple[sv.StateVector, sv.StateVector]]:
+        """Each circuit config's exact state and its evolved state.
+
+        Every config is checked first, in a lone run's order (exact phases,
+        then circuit angles), so a refused row names what its lone run
+        would; then one rotation pass evolves them all.
+        """
+        n = 2 * self.qubits_per_mode
+        exact, runs = [], []
+        for c in configs:
+            exact.append(sv.StateVector(n, self.sector.amplitudes(c.theta)))
+            runs.append((circ.bind_angles(self.terms, c.theta, c.trotter_steps), c.trotter_steps))
+        start = sv.init_basis(n, self.labels[self.sector.start])
+        return list(zip(exact, sv.evolve(start, self.tables, runs)))
+
     def circuit(self, theta: float, steps: int) -> circ.Circuit:
         """The step's gates at θ, repeated ``steps`` times."""
         bound = zip([term for term, _ in self.terms], circ.bind_angles(self.terms, theta, steps))
@@ -182,18 +220,13 @@ def compile_step(config: ExperimentConfig) -> CompiledStep:
 def run_hom(config: ExperimentConfig) -> ExperimentReport:
     """One interference run on ``config``'s step: prep, evolve, measure statistics."""
     compiled = compile_step(config)
-    n = 2 * config.qubits_per_mode
-    exact_state = sv.StateVector(n, compiled.sector.amplitudes(config.theta))
-
     metrics_out: Optional[dict] = None
     if config.exact:
-        out = exact_state
+        n = 2 * config.qubits_per_mode
+        exact_state = out = sv.StateVector(n, compiled.sector.amplitudes(config.theta))
     else:
-        steps = config.trotter_steps
-        angles = circ.bind_angles(compiled.terms, config.theta, steps)
-        start = sv.init_basis(n, compiled.labels[compiled.sector.start])
-        out = sv.evolve(start, compiled.tables, angles, steps)
-        metrics_out = compiled.profile.metrics(steps)
+        exact_state, out = compiled.pending.pop(config, None) or compiled.evolve([config])[0]
+        metrics_out = compiled.profile.metrics(config.trotter_steps)
 
     probs = sv.probabilities(out)
     histogram = sv.sample(out, config.shots, config.seed)
@@ -217,6 +250,33 @@ def _row_values(values: Sequence, name: str, integral: bool = False) -> list:
     return [int(v) if integral else float(v) for v in values]
 
 
+def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[ExperimentReport]:
+    """``run_hom`` of ``config`` with field ``name`` set to each of ``values``
+    and row i seeded ``seed + i``, in order, one report at a time.
+
+    Circuit rows are evolved ahead in batches of at most ``BATCH_WEIGHTS``
+    written-out weights, their states kept on the step until each row's
+    run takes its own. The row with the most steps is bound first, so a
+    row over the rotation cap is refused before any row runs, and no state
+    is left kept, refused or not.
+    """
+    configs = [replace(config, **{name: v}, seed=config.seed + i) for i, v in enumerate(values)]
+    compiled = compile_step(config)
+    if compiled.exact:
+        yield from map(run_hom, configs)
+        return
+    longest = max(configs, key=lambda c: c.trotter_steps)
+    circ.bind_angles(compiled.terms, longest.theta, longest.trotter_steps)
+    size = max(1, BATCH_WEIGHTS // (max(1, len(compiled.terms)) << 2 * compiled.qubits_per_mode))
+    try:
+        for i in range(0, len(configs), size):
+            batch = configs[i : i + size]
+            compiled.pending.update(zip(batch, compiled.evolve(batch)))
+            yield from map(run_hom, batch)
+    finally:
+        compiled.pending.clear()
+
+
 def sweep_trotter(
     config: ExperimentConfig, steps_list: Sequence[int]
 ) -> list[dict]:
@@ -231,19 +291,16 @@ def sweep_trotter(
     # The input first, then the other sector states |k, N-k> by ascending k.
     sector = compiled.sector
     labels = [compiled.labels[r] for r in sorted(sector.rows, key=lambda r: r != sector.start)]
-    rows = []
-    for i, steps in enumerate(steps_list):
-        report = run_hom(replace(config, trotter_steps=steps, seed=config.seed + i))
-        rows.append(
-            {
-                "steps": steps,
-                **{f"p_{label}": report.probabilities[label] for label in labels},
-                "fidelity": report.fidelity,
-                "depth": report.metrics["depth"],
-                "cx_count": report.metrics["cx_count"],
-            }
-        )
-    return rows
+    return [
+        {
+            "steps": report.config.trotter_steps,
+            **{f"p_{label}": report.probabilities[label] for label in labels},
+            "fidelity": report.fidelity,
+            "depth": report.metrics["depth"],
+            "cx_count": report.metrics["cx_count"],
+        }
+        for report in _reports(config, "trotter_steps", steps_list)
+    ]
 
 
 def sweep_theta(
@@ -261,16 +318,10 @@ def sweep_theta(
     config = replace(config, exact=not use_circuit)
     compiled = compile_step(config)
     coincidence = compiled.labels[compiled.sector.start]
-    rows = []
-    for i, theta in enumerate(theta_grid):
-        report = run_hom(replace(config, theta=theta, seed=config.seed + i))
-        rows.append(
-            {
-                "theta": theta,
-                f"p_{coincidence}": report.probabilities[coincidence],
-            }
-        )
-    return rows
+    return [
+        {"theta": report.config.theta, f"p_{coincidence}": report.probabilities[coincidence]}
+        for report in _reports(config, "theta", theta_grid)
+    ]
 
 
 def circuit_report(config: ExperimentConfig) -> dict:

@@ -139,6 +139,10 @@ def test_overflowing_circuit_angle_is_a_usage_error(qpm):
             "error: steps = 1000 times 12800 terms is more than 262144 rotations",
         ),
         (
+            ["sweep-trotter", "--steps-list", "1,2,8193"],
+            "error: steps = 8193 times 32 terms is more than 262144 rotations",
+        ),
+        (
             ["run", "--exact", "--shots", str(10**20)],
             f"error: shots must be in [1, {2**63 - 1}]",
         ),
@@ -147,7 +151,7 @@ def test_overflowing_circuit_angle_is_a_usage_error(qpm):
             f"error: points must be in [1, {MAX_POINTS}]",
         ),
     ],
-    ids=["run-steps", "circuit-report-steps", "exact-shots", "theta-points"],
+    ids=["run-steps", "circuit-report-steps", "sweep-trotter-steps", "exact-shots", "theta-points"],
 )
 def test_unbounded_work_is_a_usage_error(args, error):
     # Each would run for hours, build gigabytes of QASM or overflow numpy's draw.

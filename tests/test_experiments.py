@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import time
+import tracemalloc
 import weakref
 from dataclasses import asdict, replace
 
@@ -223,10 +224,10 @@ class TestCompiledStep:
         start = sv.StateVector(n, psi / np.linalg.norm(psi))
         for theta, steps in [(0.7, 1), (math.pi / 4, 3), (1.4, 5)]:
             angles = bind_angles(compiled.terms, theta, steps)
-            fast = sv.evolve(start, compiled.tables, angles, steps).amplitudes
+            fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
             step = trotter_sequence(inter, theta, steps)
             tables = sv.rotation_tables(n, [term for term, _ in step])
-            rotations = sv.evolve(start, tables, [angle for _, angle in step], steps)
+            rotations = sv.evolve(start, tables, [([angle for _, angle in step], steps)])[0]
             gates = sv.apply_circuit(start, synthesize(inter, theta, steps))
             assert fast.tobytes() == rotations.amplitudes.tobytes()
             np.testing.assert_allclose(fast, gates.amplitudes, rtol=0, atol=1e-12)
@@ -463,6 +464,197 @@ class TestCompiledStep:
         assert reports == lone
         digest = hashlib.sha256("".join(reports).encode()).hexdigest()
         assert digest == "fc62f4e3fa0c354862963d4bb30faba2baa43e5df2a438cb08a8ce22c4500794"
+
+
+@pytest.fixture
+def row_reports(monkeypatch):
+    """Every report ``experiments.run_hom`` returns from here on, in order."""
+    reports = []
+
+    def kept(config):
+        reports.append(run_hom(config))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "run_hom", kept)
+    return reports
+
+
+def _fail_on_second_row(monkeypatch):
+    """From here on the second ``experiments.run_hom`` call raises."""
+    runs = []
+
+    def second_fails(config):
+        runs.append(config)
+        if len(runs) == 2:
+            raise RuntimeError("second row")
+        return run_hom(config)
+
+    monkeypatch.setattr(experiments, "run_hom", second_fails)
+
+
+class TestSweepBatch:
+    # Unsorted, a count repeated, counts past the 2n + 1 repeats below the
+    # profile's delay rows (n = 2·qpm) and more than 2n + 1 rows.
+    STEPS = {
+        1: [3, 1, 3, 6, 2, 7],
+        2: [3, 1, 3, 12, 2, 9, 1, 4, 10, 5],
+        3: [3, 1, 3, 14, 2, 7, 1, 20, 5, 4, 6, 9, 11, 13, 2],
+    }
+    GRID = [0.3, 1.2, 0.3, -0.4, 0.0, 2.0, 0.7, 1.5, -1.1, 0.9, 0.3]
+
+    @staticmethod
+    def cap_rows(monkeypatch, config, rows):
+        """Caps a batch of ``config``'s key at ``rows`` rows."""
+        weights = max(1, len(compile_step(config).terms)) * 4**config.qubits_per_mode
+        monkeypatch.setattr(experiments, "BATCH_WEIGHTS", rows * weights)
+
+    @staticmethod
+    def lone(clear_step, reports) -> list[str]:
+        """Each report's config run alone on a freshly compiled step."""
+        texts = []
+        for report in reports:
+            clear_step()
+            texts.append(run_hom(report.config).to_json())
+        return texts
+
+    @pytest.mark.parametrize("rows_per_batch", [None, 2], ids=["cap", "two-row-batches"])
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_trotter_rows_are_their_lone_runs(
+        self, monkeypatch, row_reports, clear_step, qpm, reduced, rows_per_batch
+    ):
+        config = ExperimentConfig(theta=0.9, shots=100, seed=5, reduced=reduced, qubits_per_mode=qpm)
+        if rows_per_batch:
+            self.cap_rows(monkeypatch, config, rows_per_batch)
+        steps = self.STEPS[qpm]
+        rows = sweep_trotter(config, steps)
+        assert [r.config for r in row_reports] == [
+            replace(config, trotter_steps=k, seed=5 + i) for i, k in enumerate(steps)
+        ]
+        assert [row["steps"] for row in rows] == steps
+        for row, report in zip(rows, row_reports):
+            assert row["fidelity"] == report.fidelity
+            assert all(row[k] == report.probabilities[k[2:]] for k in row if k.startswith("p_"))
+        assert [r.to_json() for r in row_reports] == self.lone(clear_step, row_reports)
+
+    @pytest.mark.parametrize("rows_per_batch", [None, 2], ids=["cap", "two-row-batches"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_circuit_theta_rows_are_their_lone_runs(
+        self, monkeypatch, row_reports, clear_step, qpm, rows_per_batch
+    ):
+        config = ExperimentConfig(trotter_steps=3, shots=100, qubits_per_mode=qpm)
+        if rows_per_batch:
+            self.cap_rows(monkeypatch, config, rows_per_batch)
+        rows = sweep_theta(config, self.GRID, use_circuit=True)
+        assert [r.config for r in row_reports] == [
+            replace(config, theta=t, seed=1234 + i) for i, t in enumerate(self.GRID)
+        ]
+        assert [row["theta"] for row in rows] == self.GRID
+        assert [r.to_json() for r in row_reports] == self.lone(clear_step, row_reports)
+
+    def test_rows_of_a_batch_evolve_in_one_pass(self, count_calls):
+        # The 7 rows of a qpm=2 sweep fit one batch; a lone run is a batch of one.
+        calls = count_calls((sv, "evolve"), (experiments, "run_hom"))
+        sweep_trotter(ExperimentConfig(), [1, 2, 4, 8, 16, 32, 64])
+        assert calls == {"evolve": 1, "run_hom": 7}
+        run_hom(ExperimentConfig(trotter_steps=3))
+        assert calls == {"evolve": 2, "run_hom": 7}
+
+    @pytest.mark.parametrize(
+        "config, steps, error",
+        [
+            (ExperimentConfig(), [1, 2, 8193], "steps = 8193 times 32 terms"),
+            (ExperimentConfig(qubits_per_mode=6), [1, 2, 4], "steps = 4 times 73728 terms"),
+        ],
+        ids=["qpm-2", "qpm-6"],
+    )
+    def test_row_over_the_rotation_cap_refused_before_any_row_runs(
+        self, count_calls, config, steps, error
+    ):
+        calls = count_calls((experiments, "run_hom"), (sv, "evolve"))
+        with pytest.raises(ValueError, match=rf"^{error} is more than 262144 rotations$"):
+            sweep_trotter(config, steps)
+        assert calls == {"run_hom": 0, "evolve": 0}
+        assert compile_step(config).pending == {}
+
+    @pytest.mark.parametrize(
+        "sweep, row",
+        [
+            (
+                lambda: sweep_trotter(ExperimentConfig(theta=1e308), [1, 2]),
+                ExperimentConfig(theta=1e308),
+            ),
+            (
+                lambda: sweep_theta(
+                    ExperimentConfig(qubits_per_mode=3), [0.1, 1e308], use_circuit=True
+                ),
+                ExperimentConfig(theta=1e308, seed=1235, qubits_per_mode=3),
+            ),
+            (
+                lambda: sweep_theta(
+                    ExperimentConfig(qubits_per_mode=3), [0.1, 8e307], use_circuit=True
+                ),
+                ExperimentConfig(theta=8e307, seed=1235, qubits_per_mode=3),
+            ),
+        ],
+        ids=["trotter-phases", "theta-phases", "theta-circuit-angle"],
+    )
+    def test_refusal_is_the_failing_rows_own(self, sweep, row):
+        # A batch checks each row as its lone run does, exact phases first:
+        # at 1e308 both the phases and the circuit angles overflow.
+        with pytest.raises(ValueError) as lone:
+            run_hom(row)
+        with pytest.raises(ValueError) as swept:
+            sweep()
+        assert str(swept.value) == str(lone.value)
+        phases = row.theta == 1e308
+        assert str(lone.value).endswith("phases exp(i·theta·w) are not finite") == phases
+
+    @pytest.mark.parametrize(
+        "sweep, refusal",
+        [
+            (lambda c, mp: sweep_trotter(c, [3, 1, 2, 3]), None),
+            (lambda c, mp: sweep_theta(c, theta_grid(40), use_circuit=True), None),
+            (lambda c, mp: sweep_theta(c, [0.1, 0.2, 1.7e308], use_circuit=True), ValueError),
+            (lambda c, mp: sweep_trotter(c, [1, 1000]), ValueError),
+            (lambda c, mp: sweep_trotter(c, [1, 0]), ValueError),
+            (
+                lambda c, mp: _fail_on_second_row(mp) or sweep_trotter(c, [1, 2, 3]),
+                RuntimeError,
+            ),
+        ],
+        ids=["trotter", "theta-circuit", "theta-overflow", "rotation-cap", "zero-steps",
+             "run-fails"],
+    )
+    def test_no_state_left_pending(self, monkeypatch, sweep, refusal):
+        config = ExperimentConfig(trotter_steps=2, qubits_per_mode=3)
+        step = compile_step(config)
+        if refusal is None:
+            sweep(config, monkeypatch)
+        else:
+            with pytest.raises(refusal):
+                sweep(config, monkeypatch)
+        assert compile_step(config) is step
+        assert step.pending == {}
+
+    def test_batch_cap_bounds_a_sweeps_memory(self, monkeypatch):
+        # 288 strings × 64 amplitudes a row at qpm 3: the cap runs 7 rows to a
+        # batch, and tracemalloc peaked at 4.8 MB for 7, 64 and 256 rows. All
+        # 64 rows in one batch wrote out 38 MB of weights and peaked at 43 MB.
+        config = ExperimentConfig(qubits_per_mode=3)
+
+        def peak(points: int) -> int:
+            sweep_theta(config, [0.1], use_circuit=True)  # the step's θ-free parts
+            tracemalloc.start()
+            try:
+                sweep_theta(config, theta_grid(points), use_circuit=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(256) < 6_000_000
+        monkeypatch.setattr(experiments, "BATCH_WEIGHTS", 10**12)
+        assert peak(64) > 30_000_000
 
 
 class TestSweepTrotter:

@@ -10,7 +10,7 @@ from scipy import stats
 from conftest import apply_gate, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
-from homsim.circuit import Circuit, Gate, bind_angles, synthesize, trotter_sequence
+from homsim.circuit import Circuit, Gate, bind_angles, step_terms, synthesize, trotter_sequence
 from homsim.experiments import ExperimentConfig, compile_step
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm
@@ -269,6 +269,15 @@ def plain_evolve(s, tables, angles, repeat=1):
     return psi
 
 
+@st.composite
+def batched_runs(draw):
+    """A hermitian run's H and start, with 1-6 rows of their own θ and 1-5 repeats."""
+    inter, _, _, start = draw(hermitian_runs())
+    theta = st.floats(-math.pi, math.pi, allow_nan=False)
+    rows = draw(st.lists(st.tuples(theta, st.integers(1, 5)), min_size=1, max_size=6))
+    return inter, rows, start
+
+
 def random_state(n, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -285,8 +294,34 @@ class TestRotationPass:
             step = trotter_sequence(inter, angle, steps)
             tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
             angles = [a for _, a in step]
-            fast = sv.evolve(start, tables, angles, steps).amplitudes
+            fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
             assert fast.tobytes() == plain_evolve(start, tables, angles, steps).tobytes()
+
+    @given(batched_runs())
+    def test_batch_rows_bit_for_bit_the_plain_expression(self, run):
+        # Rows of mixed repeats leave the batch at their own repeats; each is
+        # the plain expression's bytes and its lone run's, and the start is kept.
+        inter, rows, start = run
+        step = step_terms(inter)
+        tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
+        runs = [(bind_angles(step, theta, repeat), repeat) for theta, repeat in rows]
+        before = start.amplitudes.tobytes()
+        batch = sv.evolve(start, tables, runs)
+        assert start.amplitudes.tobytes() == before
+        assert len(batch) == len(runs)
+        for (angles, repeat), state in zip(runs, batch):
+            plain = plain_evolve(start, tables, angles, repeat).tobytes()
+            assert state.amplitudes.tobytes() == plain
+            assert sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes.tobytes() == plain
+
+    def test_no_runs_evolve_to_no_states(self):
+        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
+        assert sv.evolve(init_basis(2, "00"), tables, []) == []
+
+    def test_every_row_needs_one_angle_per_string(self):
+        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")] * 2)
+        with pytest.raises(ValueError):
+            sv.evolve(init_basis(2, "00"), tables, [([0.1, 0.2], 2), ([0.1], 1)])
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
@@ -297,7 +332,7 @@ class TestRotationPass:
         for theta, steps in [(0.7, 1), (-1.3, 2), (0.0, 1), (-0.0, 2), (math.pi / 4, 3)]:
             angles = bind_angles(compiled.terms, theta, steps)
             for start in starts:
-                fast = sv.evolve(start, compiled.tables, angles, steps).amplitudes
+                fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
                 slow = plain_evolve(start, compiled.tables, angles, steps)
                 assert fast.tobytes() == slow.tobytes()
 
@@ -310,10 +345,10 @@ class TestRotationPass:
         angles = bind_angles(compiled.terms[:strings], 0.7, 3)
         start = random_state(4, 5)
         before = start.amplitudes.tobytes()
-        first = sv.evolve(start, tables, angles, 3).amplitudes
+        first = sv.evolve(start, tables, [(angles, 3)])[0].amplitudes
         assert start.amplitudes.tobytes() == before
         assert not np.shares_memory(first, start.amplitudes)
-        assert sv.evolve(start, tables, angles, 3).amplitudes.tobytes() == first.tobytes()
+        assert sv.evolve(start, tables, [(angles, 3)])[0].amplitudes.tobytes() == first.tobytes()
 
     @given(hermitian_runs())
     def test_matches_gate_path(self, run):
@@ -321,7 +356,7 @@ class TestRotationPass:
         inter, theta, steps, start = run
         step = trotter_sequence(inter, theta, steps)
         tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
-        fast = sv.evolve(start, tables, [angle for _, angle in step], steps)
+        fast = sv.evolve(start, tables, [([angle for _, angle in step], steps)])[0]
         gates = apply_circuit(start, synthesize(inter, theta, steps))
         np.testing.assert_allclose(fast.amplitudes, gates.amplitudes, rtol=0, atol=1e-12)
 
@@ -333,17 +368,17 @@ class TestRotationPass:
     def test_repeat_below_one_rejected(self):
         tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
         with pytest.raises(ValueError, match="repeat must be >= 1"):
-            sv.evolve(init_basis(2, "00"), tables, [0.1], 0)
+            sv.evolve(init_basis(2, "00"), tables, [([0.1], 0)])
 
     def test_evolve_refuses_tables_of_another_register(self):
         tables = sv.rotation_tables(3, [PauliTerm.from_label(1.0, "XYZ")])
         with pytest.raises(ValueError, match="register width mismatch"):
-            sv.evolve(init_basis(2, "00"), tables, [0.1])
+            sv.evolve(init_basis(2, "00"), tables, [([0.1], 1)])
 
     def test_evolve_needs_one_angle_per_string(self):
         tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")] * 2)
         with pytest.raises(ValueError):
-            sv.evolve(init_basis(2, "00"), tables, [0.1])
+            sv.evolve(init_basis(2, "00"), tables, [([0.1], 1)])
 
     def test_width_cap_matches_gate_path(self, monkeypatch):
         monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
@@ -363,7 +398,7 @@ class TestRotationPass:
         tracemalloc.start()
         try:
             tables = sv.rotation_tables(8, [term for term, _ in sequence])
-            sv.evolve(start, tables, [angle for _, angle in sequence])
+            sv.evolve(start, tables, [([angle for _, angle in sequence], 1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
