@@ -16,9 +16,10 @@ kept. Runs of one key share the last step compiled, so a sweep or a
 repeated run builds each part once and the process holds one step at a
 time; the circuit report emits from one step per H. A sweep calls
 ``run_hom`` once per row, the one place a report is built, but evolves its
-circuit rows ahead in batches of one rotation pass each: the step keeps
-each row's exact and evolved states, by the row's config, until that
-row's run takes them.
+circuit rows ahead in batches of one rotation pass each, as many rows as
+``statevector.BATCH_WEIGHTS`` lets the pass run in its batch loop (one
+from 4 qubits per mode up): the step keeps each row's exact and evolved
+states, by the row's config, until that row's run takes them.
 Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
@@ -65,16 +66,6 @@ MAX_SHOTS = 2 ** 63 - 1
 # The most angles one theta grid holds: at 6 qubits per mode an exact sweep over
 # them takes 2.2 s, a circuit sweep 2.1 s a row (one BLAS thread, 2-core host).
 MAX_POINTS = 4096
-
-# The most weights one batch of sweep rows writes out: strings × rows × 2^n
-# amplitudes, 32 bytes each (cos and sin); with its signs and gathers a full
-# batch at 3 qubits per mode peaked at 4.8 MB. Batch of m one-step rows
-# against m lone runs (best of 6–40, shared 2-core host, one BLAS thread):
-# 2 qubits per mode, m = 2 took 0.86×, 7 0.42×, 16 0.33×; 3 qubits, m = 2
-# 0.73×, 4 0.53×, 16 0.35×; 4 qubits, m = 2 1.12×, 4 0.98×; 5 qubits, m = 2
-# 1.72×. So a batch holds 256 rows at 2 qubits per mode, 7 at 3, and rows
-# from 4 qubits per mode up run alone.
-BATCH_WEIGHTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -254,11 +245,11 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
     """``run_hom`` of ``config`` with field ``name`` set to each of ``values``
     and row i seeded ``seed + i``, in order, one report at a time.
 
-    Circuit rows are evolved ahead in batches of at most ``BATCH_WEIGHTS``
-    written-out weights, their states kept on the step until each row's
-    run takes its own. The row with the most steps is bound first, so a
-    row over the rotation cap is refused before any row runs, and no state
-    is left kept, refused or not.
+    Circuit rows are evolved ahead in batches of at most
+    ``statevector.BATCH_WEIGHTS`` written-out weights, their states kept on
+    the step until each row's run takes its own. The row with the most
+    steps is bound first, so a row over the rotation cap is refused before
+    any row runs, and no state is left kept, refused or not.
     """
     configs = [replace(config, **{name: v}, seed=config.seed + i) for i, v in enumerate(values)]
     compiled = compile_step(config)
@@ -267,7 +258,7 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
         return
     longest = max(configs, key=lambda c: c.trotter_steps)
     circ.bind_angles(compiled.terms, longest.theta, longest.trotter_steps)
-    size = max(1, BATCH_WEIGHTS // (max(1, len(compiled.terms)) << 2 * compiled.qubits_per_mode))
+    size = max(1, sv.BATCH_WEIGHTS // (max(1, len(compiled.terms)) << 2 * compiled.qubits_per_mode))
     try:
         for i in range(0, len(configs), size):
             batch = configs[i : i + size]

@@ -5,10 +5,12 @@ applies each exp(+iαP) of one Trotter step as cos α·ψ + i sin α·Pψ, a few
 vector operations per term, and repeats the step: ``rotation_tables``
 builds each string's gather index, sign vector and phase, none of which
 depend on the angles, and ``evolve`` binds runs to them, each a set of
-angles and a repeat count, so a sweep builds the tables once. It runs
-them as one batch of rows in place, five numpy calls per rotation for all
-rows still running and no vector per string; a lone run is a batch of
-one on a 1-D vector, and every row is bit for bit its lone run.
+angles and a repeat count, so a sweep builds the tables once. While
+their written-out weights fit ``BATCH_WEIGHTS`` it runs them as one batch
+of rows in place, four numpy calls per rotation for all rows still
+running and no vector per string; a lone run is a batch of one. Past the
+budget each run takes a loop of five calls with 0-d weights. Every row is
+bit for bit its lone run in either loop.
 ``apply_circuit`` runs the synthesized circuit gate by gate and is the
 reference the rotations are tested against. ``apply_dense`` applies a
 full unitary such as ``beamsplitter.exact_unitary``; runs do not take it,
@@ -37,6 +39,18 @@ NORM_TOL = 1e-10
 MAX_GATE_QUBITS = 24
 
 RNG_ALGORITHM = "numpy-pcg64"
+
+# The most weights one batch of rows writes out: strings × rows × 2^n
+# amplitudes, 32 bytes each (cos and sin); with its signs and gathers a full
+# batch at 3 qubits per mode peaked at 5.1 MB. Runs past it each take the
+# 0-d loop alone. Batch of m one-step rows against m lone runs (median of
+# 5–7, shared 2-core host, one BLAS thread): 2 qubits per mode, m = 2 took
+# 0.65×, 7 0.37×, 16 0.32×; 3 qubits, m = 2 0.65×, 4 0.51×, 7 0.45×; 4
+# qubits, m = 2 1.19×, 4 1.10×; 5 qubits, m = 2 2.13×. A lone one-step run
+# in the batch loop took 0.96× its 0-d loop's time at 2 qubits per mode,
+# 0.83× at 3 and 1.23× at 4. So a sweep's batch holds 256 rows at 2 qubits
+# per mode and 7 at 3, and from 4 up every run takes the 0-d loop.
+BATCH_WEIGHTS = 2 ** 17
 
 
 class NormDriftError(RuntimeError):
@@ -123,35 +137,53 @@ class RotationTables:
     dependent on the angles: per string, in step order, its gather index
     j ⊕ x, its int8 sign vector (−1)^|z&·| and the constant i·i^|x&z|.
 
-    Strings that share an x mask share one gather array, and strings that
-    share a z mask one sign array, so memory grows with the distinct masks
-    (q² x masks for the beam splitter at q qubits per mode), not with the
-    number of strings.
+    Strings that share an x mask share one row of ``gathers``, and strings
+    that share a z mask one row of ``signs`` (``x_rows`` and ``z_rows`` name
+    each string's rows), so memory grows with the distinct masks (q² x
+    masks for the beam splitter at q qubits per mode), not with the number
+    of strings. ``factors`` holds each string's factors (1, i·i^|x&z|) of
+    cos α and sin α.
     """
 
     n_qubits: int
     actions: tuple[tuple[np.ndarray, np.ndarray, complex], ...]
+    gathers: np.ndarray
+    signs: np.ndarray
+    x_rows: tuple[int, ...]
+    z_rows: tuple[int, ...]
+    factors: np.ndarray
 
 
 def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables:
     """The ``RotationTables`` of ``terms`` on a register of ``n_qubits``."""
     n = n_qubits
     _check_width(n)
-    j = np.arange(2 ** n)
-    parity = _parity(n)
-    rows: dict[int, np.ndarray] = {}
-    signs: dict[int, np.ndarray] = {}
-    actions = []
+    xs: dict[int, int] = {}
+    zs: dict[int, int] = {}
+    strings = []
     for term in terms:
         if term.width != n:
             raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
         x, z, phase = _action(term)
-        if x not in rows:
-            rows[x] = j ^ x
-        if z not in signs:
-            signs[z] = parity[z & j]
-        actions.append((rows[x], signs[z], 1j * phase))
-    return RotationTables(n, tuple(actions))
+        strings.append((xs.setdefault(x, len(xs)), zs.setdefault(z, len(zs)), 1j * phase))
+    j = np.arange(2 ** n)
+    parity = _parity(n)
+    gathers = np.empty((len(xs), 2 ** n), dtype=int)
+    signs = np.empty((len(zs), 2 ** n), dtype=np.int8)
+    for row, x in zip(gathers, xs):
+        np.bitwise_xor(j, x, row)
+    for row, z in zip(signs, zs):
+        parity.take(z & j, None, row)
+    x_rows, z_rows, phases = zip(*strings) if strings else ((), (), ())
+    return RotationTables(
+        n,
+        tuple((gathers[x], signs[z], phase) for x, z, phase in strings),
+        gathers,
+        signs,
+        x_rows,
+        z_rows,
+        np.array([(1,) * len(phases), phases], dtype=complex),
+    )
 
 
 def evolve(
@@ -162,96 +194,115 @@ def evolve(
     ``s`` is left as it was.
 
     Since P² = I, exp(iαP)ψ = cos α·ψ + i sin α·Pψ, and (Pψ)[j] =
-    i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. The runs evolve as one (m × 2^n) batch
-    of rows, longest repeat first, and each string is five numpy calls in
-    place through two scratch batches for all rows still running. A row
-    leaves after its own repeats; the last one left, a lone run's only row,
-    runs on a 1-D vector with 0-d weights (numpy would promote a Python
-    scalar on every call). Each product has a factor that is purely real or
-    purely imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops
-    over a batch, every row is bit for bit that formula's operands in its
-    order, as its lone run is. A batch writes out strings × m × 2^n
-    weights, so its caller bounds m.
+    i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. When the runs' weights written out,
+    strings × runs × 2^n, fit ``BATCH_WEIGHTS``, the runs evolve as one
+    batch of rows, longest repeat first, four numpy calls per string for
+    all rows still running, and a row leaves after its own repeats. Past
+    the budget each run evolves alone with 0-d weights, five numpy calls
+    per string. Each product has a factor that is purely real or purely
+    imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops over its
+    operands, every row is bit for bit that formula's operands in its
+    order, as its lone run is.
     """
     if tables.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
+    strings = len(tables.actions)
+    if any(len(angles) != strings for angles, _ in runs):
+        raise ValueError("every run needs one angle per string")
     if any(repeat < 1 for _, repeat in runs):
         raise ValueError("repeat must be >= 1")
+    if strings * len(runs) << s.n_qubits > BATCH_WEIGHTS:
+        return [_evolve_alone(s, tables, angles, repeat) for angles, repeat in runs]
     order = sorted(range(len(runs)), key=lambda i: runs[i][1], reverse=True)
     m, dim = len(order), 2 ** s.n_qubits
-    psi = np.empty((m, dim), dtype=complex)
-    psi[:] = s.amplitudes
-    signed = np.empty_like(psi)
-    kept = np.empty_like(psi)
-    if m > 1:
-        # Every operand of a batch call has the batch's shape, so numpy takes
-        # its same-shape loop (a broadcast operand costs about a microsecond
-        # more a call): per string the rows' weights written out along each
-        # row, per z mask the signs as complex rows, per x mask one flat
-        # gather index with each row's offset.
-        weights = [
-            [
-                (math.cos(a), math.sin(a) * phase)
-                for a, (_, _, phase) in zip(runs[i][0], tables.actions, strict=True)
-            ]
-            for i in order
-        ]
-        columns = np.array(weights, dtype=complex).reshape(m, len(tables.actions), 2)
-        columns = np.repeat(columns.transpose(1, 2, 0)[..., None], dim, axis=-1)
-        offsets = np.arange(0, m * dim, dim)[:, None]
-        batched = {}
-        for gather, sign, _ in tables.actions:
-            if id(gather) not in batched:
-                batched[id(gather)] = offsets + gather
-            if id(sign) not in batched:
-                batched[id(sign)] = np.repeat(sign[None].astype(complex), m, axis=0)
+    # Every operand of a call has the running rows' shape and is contiguous,
+    # so numpy takes its same-shape loop (a broadcast or strided operand
+    # costs up to twice as much a call): the signs and gathers of all rows,
+    # of which a phase takes its running rows' prefix, and per string the
+    # rows' cos α and sin α·i·i^|x&z| written out along each row.
+    signs, gathers = _batch_tables(tables, m)
+    trig = [(list(map(math.cos, runs[i][0])), list(map(math.sin, runs[i][0]))) for i in order]
+    columns = (np.array(trig).reshape(m, 2, strings) * tables.factors).transpose(2, 1, 0)
+    signed = np.empty((m, dim), dtype=complex)
+    state = s.amplitudes[None]
     out: list = [None] * m
     done = 0
     while order:
         k = len(order)
-        if k == 1:
-            # The batch's weights for this row, each bound straight to a 0-d
-            # array: a list of a lone run's weights first cost 2% at qpm 5.
-            rows = (psi[0], signed[0], kept[0])
-            step = [
-                (
-                    gather,
-                    sign,
-                    np.array(math.cos(a), dtype=complex),
-                    np.array(math.sin(a) * phase, dtype=complex),
-                )
-                for a, (gather, sign, phase) in zip(runs[order[0]][0], tables.actions, strict=True)
-            ]
-        else:
-            rows = (psi[:k], signed[:k], kept[:k])
-            running = {key: table[:k] for key, table in batched.items()}
-            step = [
-                (running[id(gather)], running[id(sign)], cos, sin_phase)
-                for (gather, sign, _), cos, sin_phase in zip(
-                    tables.actions, columns[:, 0, :k], columns[:, 1, :k]
-                )
-            ]
+        # The running rows' state and weights, each one contiguous copy.
+        buf = np.empty((2, k, dim), dtype=complex)
+        buf[0] = state[:k]
+        weights = np.empty((strings, 2, k, dim), dtype=complex)
+        weights[:] = columns[:, :, :k, None]
+        sign_rows, gather_rows = list(signs[:, :k]), list(gathers[:, :k])
+        step = list(
+            zip(
+                [sign_rows[z] for z in tables.z_rows],
+                [gather_rows[x] for x in tables.x_rows],
+                weights,
+            )
+        )
         repeat = runs[order[-1]][1]
-        _rotate(*rows, step, repeat - done)
+        _rotate(buf, signed[:k], step, repeat - done)
+        state = buf[0]
         done = repeat
         while order and runs[order[-1]][1] == done:
-            out[order[-1]] = StateVector(s.n_qubits, psi[len(order) - 1].copy())
+            out[order[-1]] = StateVector(s.n_qubits, state[len(order) - 1].copy())
             order.pop()
     return out
 
 
-def _rotate(psi, signed, kept, step, repeat: int) -> None:
-    """``repeat`` times, each string (gather, sign, cos, sin_phase) of
-    ``step`` on ``psi`` in place, through the scratch ``signed`` and ``kept``."""
-    gathered = signed.reshape(-1)
+def _batch_tables(tables: RotationTables, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """For a batch of ``m`` rows, per z mask the signs as complex rows and
+    per x mask each row's gather into the flattened batch: row r's gather
+    index offset by r·2^n, so any prefix of k rows gathers among them."""
+    dim = 2 ** tables.n_qubits
+    signs = np.empty((len(tables.signs), m, dim), dtype=complex)
+    signs[:] = tables.signs[:, None]
+    return signs, tables.gathers[:, None] + np.arange(0, m * dim, dim)[:, None]
+
+
+def _rotate(buf, signed, step, repeat: int) -> None:
+    """``repeat`` times, each string (sign, gather, weight) of ``step`` on
+    the state ``buf[0]`` in place, its moved part gathered into ``buf[1]``
+    through the scratch ``signed``; ``weight`` is cos α over ``buf[0]`` and
+    sin α·i·i^|x&z| over ``buf[1]``."""
+    psi, moved = buf
+    take = signed.reshape(-1).take
+    multiply, add = np.multiply, np.add
+    for _ in range(repeat):
+        for sign, gather, weight in step:
+            multiply(sign, psi, signed)
+            take(gather, None, moved, "clip")
+            multiply(weight, buf, buf)
+            add(psi, moved, psi)
+
+
+def _evolve_alone(s: StateVector, tables: RotationTables, angles, repeat: int) -> StateVector:
+    """One run on a 1-D vector with each weight bound straight to a 0-d
+    array (numpy would promote a Python scalar on every call), five numpy
+    calls per string in place through two scratch vectors."""
+    psi = s.amplitudes.copy()
+    signed = np.empty_like(psi)
+    kept = np.empty_like(psi)
+    step = [
+        (
+            gather,
+            sign,
+            np.array(math.cos(a), dtype=complex),
+            np.array(math.sin(a) * phase, dtype=complex),
+        )
+        for a, (gather, sign, phase) in zip(angles, tables.actions, strict=True)
+    ]
     multiply, add = np.multiply, np.add
     for _ in range(repeat):
         for gather, sign, cos, sin_phase in step:
             multiply(sign, psi, signed)
-            moved = gathered[gather]
+            moved = signed[gather]
             multiply(sin_phase, moved, moved)
             multiply(cos, psi, kept)
             add(kept, moved, psi)
+    return StateVector(s.n_qubits, psi)
 
 
 def apply_dense(s: StateVector, m: np.ndarray) -> StateVector:

@@ -506,7 +506,7 @@ class TestSweepBatch:
     def cap_rows(monkeypatch, config, rows):
         """Caps a batch of ``config``'s key at ``rows`` rows."""
         weights = max(1, len(compile_step(config).terms)) * 4**config.qubits_per_mode
-        monkeypatch.setattr(experiments, "BATCH_WEIGHTS", rows * weights)
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", rows * weights)
 
     @staticmethod
     def lone(clear_step, reports) -> list[str]:
@@ -639,7 +639,7 @@ class TestSweepBatch:
 
     def test_batch_cap_bounds_a_sweeps_memory(self, monkeypatch):
         # 288 strings × 64 amplitudes a row at qpm 3: the cap runs 7 rows to a
-        # batch, and tracemalloc peaked at 4.8 MB for 7, 64 and 256 rows. All
+        # batch, and tracemalloc peaked at 5.0–5.1 MB for 7 and 256 rows. All
         # 64 rows in one batch wrote out 38 MB of weights and peaked at 43 MB.
         config = ExperimentConfig(qubits_per_mode=3)
 
@@ -653,7 +653,7 @@ class TestSweepBatch:
                 tracemalloc.stop()
 
         assert peak(256) < 6_000_000
-        monkeypatch.setattr(experiments, "BATCH_WEIGHTS", 10**12)
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 10**12)
         assert peak(64) > 30_000_000
 
 

@@ -284,21 +284,30 @@ def random_state(n, seed):
     return StateVector(n, psi / np.linalg.norm(psi))
 
 
+# The real budget runs every drawn run in the four-call batch loop; a budget
+# of 0 sends every run alone to the 0-d loop.
+BUDGETS = pytest.mark.parametrize("budget", [sv.BATCH_WEIGHTS, 0], ids=["batch", "zero-d"])
+
+
 class TestRotationPass:
-    @given(hermitian_runs())
-    def test_bit_for_bit_the_plain_expression(self, run):
+    @BUDGETS
+    @given(run=hermitian_runs())
+    def test_bit_for_bit_the_plain_expression(self, budget, run):
         # The in-place pass keeps every operand and its order: equal bytes,
         # signed zero angles included.
         inter, theta, steps, start = run
-        for angle in (theta, 0.0, -0.0):
-            step = trotter_sequence(inter, angle, steps)
-            tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
-            angles = [a for _, a in step]
-            fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
-            assert fast.tobytes() == plain_evolve(start, tables, angles, steps).tobytes()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sv, "BATCH_WEIGHTS", budget)
+            for angle in (theta, 0.0, -0.0):
+                step = trotter_sequence(inter, angle, steps)
+                tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
+                angles = [a for _, a in step]
+                fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
+                assert fast.tobytes() == plain_evolve(start, tables, angles, steps).tobytes()
 
-    @given(batched_runs())
-    def test_batch_rows_bit_for_bit_the_plain_expression(self, run):
+    @BUDGETS
+    @given(run=batched_runs())
+    def test_batch_rows_bit_for_bit_the_plain_expression(self, budget, run):
         # Rows of mixed repeats leave the batch at their own repeats; each is
         # the plain expression's bytes and its lone run's, and the start is kept.
         inter, rows, start = run
@@ -306,13 +315,83 @@ class TestRotationPass:
         tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
         runs = [(bind_angles(step, theta, repeat), repeat) for theta, repeat in rows]
         before = start.amplitudes.tobytes()
-        batch = sv.evolve(start, tables, runs)
-        assert start.amplitudes.tobytes() == before
-        assert len(batch) == len(runs)
-        for (angles, repeat), state in zip(runs, batch):
-            plain = plain_evolve(start, tables, angles, repeat).tobytes()
-            assert state.amplitudes.tobytes() == plain
-            assert sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes.tobytes() == plain
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sv, "BATCH_WEIGHTS", budget)
+            batch = sv.evolve(start, tables, runs)
+            assert start.amplitudes.tobytes() == before
+            assert len(batch) == len(runs)
+            for (angles, repeat), state in zip(runs, batch):
+                plain = plain_evolve(start, tables, angles, repeat).tobytes()
+                assert state.amplitudes.tobytes() == plain
+                lone = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
+                assert lone.tobytes() == plain
+
+    @staticmethod
+    def loops_taken(monkeypatch) -> list[str]:
+        """From here on, the name of each loop ``evolve`` enters, in order."""
+        taken = []
+
+        def spy(name, loop):
+            def entered(*args):
+                taken.append(name)
+                return loop(*args)
+
+            return entered
+
+        for name in ("_rotate", "_evolve_alone"):
+            monkeypatch.setattr(sv, name, spy(name, getattr(sv, name)))
+        return taken
+
+    @pytest.mark.parametrize(
+        "qpm, loop", [(1, "_rotate"), (2, "_rotate"), (3, "_rotate"), (4, "_evolve_alone")]
+    )
+    def test_lone_runs_to_qpm_3_take_the_batch_loop(self, monkeypatch, qpm, loop):
+        # 288 strings × 64 amplitudes fit the budget at qpm 3; 2,048 × 256 at qpm 4 do not.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm))
+        taken = self.loops_taken(monkeypatch)
+        start = init_basis(2 * qpm, compiled.labels[compiled.sector.start])
+        sv.evolve(start, compiled.tables, [(bind_angles(compiled.terms, 0.7, 2), 2)])
+        assert taken == [loop]
+
+    def test_the_budget_picks_the_loop(self, monkeypatch):
+        # 3 strings × 2 rows × 4 amplitudes: at 24 weights one batch runs a
+        # phase per repeat count, at 23 each row runs alone.
+        terms = [PauliTerm.from_label(1.0, label) for label in ("XY", "ZI", "YY")]
+        tables = sv.rotation_tables(2, terms)
+        runs = [([0.1, 0.2, 0.3], 1), ([0.4, 0.5, 0.6], 3)]
+        taken = self.loops_taken(monkeypatch)
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 24)
+        batch = sv.evolve(random_state(2, 3), tables, runs)
+        assert taken == ["_rotate", "_rotate"]
+        taken.clear()
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 23)
+        alone = sv.evolve(random_state(2, 3), tables, runs)
+        assert taken == ["_evolve_alone", "_evolve_alone"]
+        assert [s.amplitudes.tobytes() for s in batch] == [s.amplitudes.tobytes() for s in alone]
+
+    @staticmethod
+    def assert_gathers_permute(tables):
+        # The pass gathers with "clip", which would hide an index out of range.
+        dim = 2 ** tables.n_qubits
+        for gather in tables.gathers:
+            assert np.array_equal(np.sort(gather), np.arange(dim))
+        for rows in (1, 2, 7):
+            _, gathers = sv._batch_tables(tables, rows)
+            for gather in gathers:
+                for k in range(1, rows + 1):
+                    assert np.array_equal(np.sort(gather[:k].ravel()), np.arange(k * dim))
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
+    def test_compiled_gathers_are_permutations(self, qpm, reduced):
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
+        self.assert_gathers_permute(compiled.tables)
+
+    @given(hermitian_runs())
+    def test_gathers_are_permutations(self, run):
+        inter, _, _, start = run
+        terms = [term for term, _ in step_terms(inter)]
+        self.assert_gathers_permute(sv.rotation_tables(start.n_qubits, terms))
 
     def test_no_runs_evolve_to_no_states(self):
         tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
