@@ -11,20 +11,23 @@ only through its repeat. ``step_terms`` is the θ-free step, each term with
 its real coefficient; ``bind_angles`` turns it into the angles θ·coeff/steps
 and is the one place they are computed, so an overflowing θ and more
 than ``MAX_ROTATIONS`` rotations are refused there. ``trotter_sequence``
-pairs the two into one step, and a ``Circuit`` is that step's gates and a
-repeat count. Validation, gate counts and the QASM text are worked out
-from the step once. A ``StepProfile`` is the one metrics path: it walks
-the step for up to n repeats and past that composes the step's per-qubit
-max-plus delays; each part is built on first need and kept.
+pairs the two into one step. A ``Circuit`` is that step's distinct gates,
+one index per slot naming the gate that fills it, and a repeat count; the
+register check, the gate counts and the QASM text read the distinct gates
+and the index, and only the depth walk reads the written-out step. A
+``StepProfile`` is the one metrics path: it walks the step for up to n
+repeats and past that composes the step's per-qubit max-plus delays; each
+part is built on first need and kept.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its
 ``PauliTerm.xz`` masks, never from axes text or the code's digits. Within
 one call the CNOT ladder and last qubit of each active mask and the basis
 changes of each (X, Y) mask pair are built once and shared by every term
-with those masks, and every gate, each term's RZ
-(or RX) included, is one shared object per distinct kind, qubits and
-angle, a signed zero angle keeping its sign. So the QASM text of each
-distinct gate object is formatted once. ``rotation_circuit`` is the
-one-term case of the same path.
+with those masks, and every gate, each term's RZ (or RX) included, is one
+entry of the gate table per distinct kind, qubits and angle, a signed zero
+angle keeping its sign. That table is the circuit's distinct gates and
+the slots the emitter fills are its index, so the 192,000 slots of the
+1-step circuit at 5 qubits per mode are checked, counted and printed as
+1,933 gates. ``rotation_circuit`` is the one-term case of the same path.
 """
 from __future__ import annotations
 
@@ -33,7 +36,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .beamsplitter import Interaction
 from .pauli import PauliTerm
@@ -69,30 +75,84 @@ class Gate:
             raise ValueError(f"{self.kind} takes no angle")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Circuit:
     """``step`` applied ``repeat`` times in a row on a register of ``n_qubits``.
 
-    Equal field by field, so another step/repeat split is another circuit.
+    Held as the step's ``distinct`` gates and its ``index``, one integer per
+    slot naming the gate that fills it; ``Circuit(n_qubits, step, repeat)``
+    indexes a written-out step by object identity, and ``trotter_circuit``
+    hands over the index it emitted. The register check, the counts and the
+    QASM text read only these; ``step`` is the written-out view, built from
+    the index on first need and kept. Equal, and hashed, by ``n_qubits``,
+    ``step`` and ``repeat``, so another step/repeat split is another circuit
+    and equal gates in separate objects index apart yet compare alike.
     """
 
     n_qubits: int
-    step: tuple[Gate, ...]
-    repeat: int = 1
+    distinct: tuple[Gate, ...]
+    index: list[int]
+    repeat: int
 
-    def __post_init__(self):
-        if self.repeat < 1:
+    def __init__(self, n_qubits: int, step: Sequence[Gate], repeat: int = 1):
+        step = tuple(step)
+        ids = list(map(id, step))
+        first = dict(zip(ids, step))  # id -> gate, in order of first slot
+        slot = {key: i for i, key in enumerate(first)}
+        self._hold(n_qubits, tuple(first.values()), list(map(slot.__getitem__, ids)), repeat)
+        self.__dict__["step"] = step
+
+    @classmethod
+    def _indexed(cls, n_qubits: int, distinct: tuple[Gate, ...], index: list[int], repeat: int):
+        c = cls.__new__(cls)
+        c._hold(n_qubits, distinct, index, repeat)
+        return c
+
+    def _hold(self, n_qubits, distinct, index, repeat) -> None:
+        if repeat < 1:
             raise ValueError("repeat must be >= 1")
-        n = self.n_qubits
-        for g in self.step:
+        n = n_qubits
+        for g in distinct:
             c = g.control
             if not 0 <= g.target < n or (c is not None and not 0 <= c < n):
                 raise ValueError(f"gate {g} outside register of {n}")
+        self.__dict__.update(n_qubits=n, distinct=distinct, index=index, repeat=repeat)
+
+    @cached_property
+    def step(self) -> tuple[Gate, ...]:
+        """One repeat's gate sequence, written out."""
+        return _gather(self.distinct, self.index)
 
     @property
     def gates(self) -> tuple[Gate, ...]:
         """The full gate sequence, every repeat written out."""
         return self.step * self.repeat
+
+    @cached_property
+    def kinds(self) -> Counter:
+        """Gates of each kind in one step: each distinct gate's kind by its slot count."""
+        uses = np.bincount(
+            np.fromiter(self.index, np.intp, len(self.index)), minlength=len(self.distinct)
+        )
+        kinds: Counter = Counter()
+        for g, k in zip(self.distinct, uses.tolist()):
+            kinds[g.kind] += k
+        return kinds
+
+    def __eq__(self, other):
+        if not isinstance(other, Circuit):
+            return NotImplemented
+        return (self.n_qubits, self.repeat, self.step) == (other.n_qubits, other.repeat, other.step)
+
+    def __hash__(self):
+        return hash((self.n_qubits, self.step, self.repeat))
+
+
+def _gather(table: Sequence, index: list[int]) -> tuple:
+    """``table[i]`` for each ``i`` of ``index``, as a tuple."""
+    if len(index) < 2:
+        return tuple(table[i] for i in index)
+    return itemgetter(*index)(table)
 
 
 def step_terms(inter: Interaction) -> list[tuple[PauliTerm, float]]:
@@ -168,25 +228,27 @@ def trotter_circuit(
     on the last active qubit, then everything mirrors back; a lone X is one
     RX(−2·angle). The masks (x, z) = ``term.xz`` give active = x | z and
     Y = x & z; X = x & ~z is the rest of x. The ladder pair and last qubit
-    are kept per active mask and the basis-change pair per (x, Y), and every
-    gate comes from one cache of shared objects, so a term builds at most
-    its RZ (or RX).
+    are kept per active mask and the basis-change pair per (x, Y), as
+    indices into one table of gates, one per distinct gate, so a term adds
+    at most its RZ (or RX). The table and the slot indices are the circuit.
     """
     n = n_qubits
     bits = [(q, 1 << n - 1 - q) for q in range(n)]
-    shared: dict[tuple, Gate] = {}
+    table: list[Gate] = []
+    shared: dict[tuple, int] = {}
 
-    def gate(kind: str, target: int, control=None, angle=None) -> Gate:
+    def gate(kind: str, target: int, control=None, angle=None) -> int:
         # 0.0 == -0.0 as keys, yet they print as 0 and -0: the sign is keyed too.
         key = (kind, target, control, angle, angle is not None and math.copysign(1, angle) < 0)
-        g = shared.get(key)
-        if g is None:
-            g = shared[key] = Gate(kind, target, control, angle)
-        return g
+        i = shared.get(key)
+        if i is None:
+            i = shared[key] = len(table)
+            table.append(Gate(kind, target, control, angle))
+        return i
 
-    ladders: dict[int, tuple[list[Gate], list[Gate], int]] = {}
-    bases: dict[tuple[int, int], tuple[list[Gate], list[Gate]]] = {}
-    gates: list[Gate] = []
+    ladders: dict[int, tuple[list[int], list[int], int]] = {}
+    bases: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    index: list[int] = []
     for term, angle in step:
         if term.width != n:
             raise ValueError(f"term {term.axes} outside register of {n}")
@@ -201,7 +263,7 @@ def trotter_circuit(
             ladder = ladders[active] = (run, run[::-1], qs[-1])
         run, back, last = ladder
         if not z and not run:  # a lone X
-            gates.append(gate("RX", last, None, -2 * angle))
+            index.append(gate("RX", last, None, -2 * angle))
             continue
         y = x & z
         basis = bases.get((x, y))
@@ -212,12 +274,12 @@ def trotter_circuit(
                 gate("RX", q, None, -math.pi / 2) if is_y else gate("H", q) for q, is_y in xy[::-1]
             ]
             basis = bases[x, y] = (pre, post)
-        gates += basis[0]
-        gates += run
-        gates.append(gate("RZ", last, None, -2 * angle))
-        gates += back
-        gates += basis[1]
-    return Circuit(n, tuple(gates), steps)
+        index += basis[0]
+        index += run
+        index.append(gate("RZ", last, None, -2 * angle))
+        index += back
+        index += basis[1]
+    return Circuit._indexed(n, tuple(table), index, steps)
 
 
 def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
@@ -256,21 +318,31 @@ def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], 
 class StepProfile:
     """The metrics of ``step`` repeated any number of times on ``n_qubits``.
 
-    Depth is greedy layering, disjoint qubits commuting. Each part is built
-    on first need and kept: the per-kind counts, the step's max-plus delay
-    rows, and the per-qubit busy vector of each repeat asked for. A repeat
-    resumes from the deepest busy vector kept below it: up to n_qubits it
-    walks the step from there, past that it composes the delay rows, which
-    take n_qubits walks to build.
+    Depth is greedy layering, disjoint qubits commuting. The counts are the
+    step circuit's ``kinds``, read off its distinct gates and index:
+    ``StepProfile.of(c)`` takes ``c``'s, ``StepProfile(n_qubits, step)``
+    indexes ``step`` on first need. Each part is built on first need and
+    kept: the counts, the step's max-plus delay rows, and the per-qubit busy
+    vector of each repeat asked for. A repeat resumes from the deepest busy
+    vector kept below it: up to n_qubits it walks the written-out step from
+    there, past that it composes the delay rows, which take n_qubits walks
+    to build.
     """
 
     n_qubits: int
     step: tuple[Gate, ...]
+    _circuit: Optional[Circuit] = field(default=None, repr=False, compare=False)
     _busy: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @classmethod
+    def of(cls, c: Circuit) -> StepProfile:
+        """The profile of ``c``'s step, counted from ``c``'s index."""
+        return cls(c.n_qubits, c.step, c)
 
     @cached_property
     def _kinds(self) -> Counter:
-        return Counter(g.kind for g in self.step)
+        c = self._circuit
+        return (Circuit(self.n_qubits, self.step) if c is None else c).kinds
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -296,28 +368,22 @@ class StepProfile:
             "depth": max(busy, default=0),
             "cx_count": kinds["CNOT"] * repeat,
             "gate_counts": {k: v * repeat for k, v in sorted(kinds.items())},
-            "total_gates": len(self.step) * repeat,
+            "total_gates": sum(kinds.values()) * repeat,
         }
 
 
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    return StepProfile(c.n_qubits, c.step).metrics(c.repeat)
+    return StepProfile.of(c).metrics(c.repeat)
 
 
 def export_qasm(c: Circuit) -> str:
     """OpenQASM 2.0 text; angles at 15 significant digits, byte-stable.
 
-    Each distinct gate object of the step is formatted once; a shared gate's
-    text is reused for every slot it fills.
+    Each distinct gate is formatted once and the step's text joined from
+    those lines through the index.
     """
-    text: dict[int, str] = {}
-    lines = []
-    for g in c.step:
-        line = text.get(id(g))
-        if line is None:
-            line = text[id(g)] = _qasm_line(g)
-        lines.append(line)
+    lines = _gather([_qasm_line(g) for g in c.distinct], c.index)
     header = f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{c.n_qubits}];\n'
     return header + "".join(lines) * c.repeat
 

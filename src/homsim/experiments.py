@@ -168,7 +168,7 @@ class CompiledStep:
     @cached_property
     def profile(self) -> circ.StepProfile:
         # At θ = 1 and one step each angle is its coefficient; the profile reads no angle.
-        return circ.StepProfile(2 * self.qubits_per_mode, self.circuit(1.0, 1).step)
+        return circ.StepProfile.of(self.circuit(1.0, 1))
 
     @cached_property
     def pending(self) -> dict[ExperimentConfig, tuple[sv.StateVector, sv.StateVector]]:

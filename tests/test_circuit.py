@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -524,6 +525,80 @@ class TestMetrics:
         # |1,1> has no partner in the 2-photon sector when a mode holds one photon.
         c = synthesize(reduced_interaction(FockEncoding(1), 2), 0.7, 3)
         assert c == Circuit(2, (), 3)
+
+
+INDEX_CASES = [
+    (qpm, reduced, theta, steps)
+    for qpm in (1, 2, 3, 4, 5)
+    for reduced in (False, True)
+    for theta in (0.7, 0.0, -0.0)
+    for steps in (1, 3)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _hamiltonian(qpm: int, reduced: bool) -> Interaction:
+    enc = FockEncoding(qpm)
+    return reduced_interaction(enc, 2) if reduced else interaction(enc)
+
+
+class TestGateIndex:
+    @pytest.mark.parametrize(
+        "qpm, reduced, theta, steps",
+        INDEX_CASES,
+        ids=[f"q{q}-{'reduced' if r else 'full'}-{t!r}-{k}" for q, r, t, k in INDEX_CASES],
+    )
+    def test_emitted_index_is_the_written_out_steps(self, qpm, reduced, theta, steps):
+        # The index the emitter hands over and the one the constructor builds
+        # from the written-out step by identity agree on everything they feed.
+        c = synthesize(_hamiltonian(qpm, reduced), theta, steps)
+        again = Circuit(c.n_qubits, c.step, c.repeat)
+        assert again.step == c.step and again == c and hash(again) == hash(c)
+        assert len(again.distinct) == len(c.distinct) == len({id(g) for g in c.step})
+        assert metrics(again) == metrics(c)
+        assert export_qasm(again) == export_qasm(c)
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_emitted_metrics_match_the_walk(self, qpm):
+        c = synthesize(_hamiltonian(qpm, False), -0.0, 3)
+        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+
+    def test_shared_and_separate_gate_objects_count_and_print_alike(self):
+        h, cx = Gate("H", 0), Gate("CNOT", target=1, control=0)
+        rz = Gate("RZ", 1, angle=-0.0)
+        shared = Circuit(2, (h, cx, rz, cx, h), 2)
+        separate = Circuit(
+            2,
+            (Gate("H", 0), Gate("CNOT", target=1, control=0), Gate("RZ", 1, angle=-0.0),
+             Gate("CNOT", target=1, control=0), Gate("H", 0)),
+            2,
+        )
+        assert shared.distinct == (h, cx, rz) and shared.index == [0, 1, 2, 1, 0]
+        assert len(separate.distinct) == 5 and separate.index == [0, 1, 2, 3, 4]
+        assert shared == separate and hash(shared) == hash(separate)
+        want = layered_metrics(Circuit(2, shared.gates))
+        assert want["gate_counts"] == {"CNOT": 4, "H": 4, "RZ": 2}
+        assert metrics(shared) == metrics(separate) == want
+        profiles = [StepProfile(2, c.step) for c in (shared, separate)]
+        assert [p.metrics(2) for p in profiles] == [want, want]
+        body = "h q[0];\ncx q[0],q[1];\nrz(-0) q[1];\ncx q[0],q[1];\nh q[0];\n"
+        header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+        assert export_qasm(shared) == export_qasm(separate) == header + body * 2
+
+    def test_one_gate_step_and_empty_step(self):
+        h = Gate("H", 0)
+        one = Circuit(1, (h,), 3)
+        assert one.step == (h,) and one.index == [0]
+        assert export_qasm(one).count("h q[0];") == 3
+        empty = Circuit(1, ())
+        assert empty.step == () and empty.distinct == () and empty.index == []
+        assert metrics(empty) == {"depth": 0, "cx_count": 0, "gate_counts": {}, "total_gates": 0}
+
+    def test_register_check_reports_the_first_slot_outside(self):
+        # Each distinct gate is checked once, in order of its first slot.
+        inside, outside = Gate("H", 0), Gate("H", 3)
+        with pytest.raises(ValueError, match=r"^gate Gate\(kind='H', target=3"):
+            Circuit(2, (inside, outside, inside, Gate("H", 4), outside))
 
 
 class TestQasmExport:
