@@ -15,9 +15,9 @@ pairs the two into one step. A ``Circuit`` is that step's distinct gates,
 one index per slot naming the gate that fills it, and a repeat count; the
 register check, the gate counts and the QASM text read the distinct gates
 and the index, and only the depth walk reads the written-out step. A
-``StepProfile`` is the one metrics path: it walks the step for up to n
-repeats and past that composes the step's per-qubit max-plus delays; each
-part is built on first need and kept.
+circuit's ``StepProfile`` is the one metrics path: it walks the step for
+up to n repeats and past that composes the step's per-qubit max-plus
+delays; each part is built on first need and kept.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its
 ``PauliTerm.xz`` masks, never from axes text or the code's digits. Within
 one call the CNOT ladder and last qubit of each active mask and the basis
@@ -316,54 +316,40 @@ def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], 
 
 @dataclass(frozen=True)
 class StepProfile:
-    """The metrics of ``step`` repeated any number of times on ``n_qubits``.
+    """The metrics of ``circuit``'s step repeated any number of times.
 
-    Depth is greedy layering, disjoint qubits commuting. The counts are the
-    step circuit's ``kinds``, read off its distinct gates and index:
-    ``StepProfile.of(c)`` takes ``c``'s, ``StepProfile(n_qubits, step)``
-    indexes ``step`` on first need. Each part is built on first need and
-    kept: the counts, the step's max-plus delay rows, and the per-qubit busy
-    vector of each repeat asked for. A repeat resumes from the deepest busy
-    vector kept below it: up to n_qubits it walks the written-out step from
-    there, past that it composes the delay rows, which take n_qubits walks
-    to build.
+    Depth is greedy layering, disjoint qubits commuting; the counts are the
+    circuit's ``kinds``, read off its distinct gates and index. Each part is
+    built on first need and kept: the step's max-plus delay rows and the
+    per-qubit busy vector of each repeat asked for. A repeat resumes from
+    the deepest busy vector kept below it: up to n_qubits it walks the
+    written-out step from there, past that it composes the delay rows, which
+    take n_qubits walks to build. The circuit's own repeat is not read.
     """
 
-    n_qubits: int
-    step: tuple[Gate, ...]
-    _circuit: Optional[Circuit] = field(default=None, repr=False, compare=False)
+    circuit: Circuit
     _busy: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @classmethod
-    def of(cls, c: Circuit) -> StepProfile:
-        """The profile of ``c``'s step, counted from ``c``'s index."""
-        return cls(c.n_qubits, c.step, c)
-
-    @cached_property
-    def _kinds(self) -> Counter:
-        c = self._circuit
-        return (Circuit(self.n_qubits, self.step) if c is None else c).kinds
 
     @cached_property
     def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _delays(self.step, self.n_qubits)
+        return _delays(self.circuit.step, self.circuit.n_qubits)
 
     def metrics(self, repeat: int) -> dict:
         """Depth, CX count, per-kind and total gate counts of ``repeat`` steps."""
         if repeat < 1:
             raise ValueError("repeat must be >= 1")
-        kept = self._busy
+        c, kept = self.circuit, self._busy
         busy = kept.get(repeat)
         if busy is None:
             done = max((r for r in kept if r < repeat), default=0)
-            busy = kept.get(done, [0] * self.n_qubits)[:]
+            busy = kept.get(done, [0] * c.n_qubits)[:]
             for _ in range(repeat - done):
-                if repeat <= self.n_qubits:
-                    _layer(self.step, busy)
+                if repeat <= c.n_qubits:
+                    _layer(c.step, busy)
                 else:
                     busy = [max(busy[j] + d for j, d in row) for row in self._rows]
             kept[repeat] = busy
-        kinds = self._kinds
+        kinds = c.kinds
         return {
             "depth": max(busy, default=0),
             "cx_count": kinds["CNOT"] * repeat,
@@ -374,7 +360,7 @@ class StepProfile:
 
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    return StepProfile.of(c).metrics(c.repeat)
+    return StepProfile(c).metrics(c.repeat)
 
 
 def export_qasm(c: Circuit) -> str:

@@ -10,16 +10,18 @@ Pauli rotations the circuit compiles (``statevector.evolve``), and the
 tests cross-check it against running the circuit gate by gate.
 
 What a run keeps follows one rule: a ``CompiledStep`` is its key (qubits
-per mode, full/reduced H, exact/circuit path), and each part that depends
-on neither θ nor the step count is built from the key on first need and
-kept. Runs of one key share the last step compiled, so a sweep or a
-repeated run builds each part once and the process holds one step at a
-time; the circuit report emits from one step per H. A sweep calls
-``run_hom`` once per row, the one place a report is built, but evolves its
-circuit rows ahead in batches of one rotation pass each, as many rows as
-``statevector.BATCH_WEIGHTS`` lets the pass run in its batch loop (one
-from 4 qubits per mode up): the step keeps each row's exact and evolved
-states, by the row's config, until that row's run takes them.
+per mode, full/reduced H), and each part that depends on neither θ nor the
+step count is built from the key on first need and kept. Exact or circuit
+is the run's path, not part of the key: an exact run and a full circuit
+run at one width share one step, its sector and its labels. Runs of one
+key share the last step compiled, so a sweep or a repeated run builds each
+part once and the process holds one step at a time; the circuit report
+emits from one step per H. A sweep calls ``run_hom`` once per row, the one
+place a report is built, but evolves its circuit rows ahead in batches of
+one rotation pass each, as many rows as ``statevector.batch_rows`` lets
+the pass run in its batch loop (one from 4 qubits per mode up): the step
+keeps each row's exact and evolved states, by the row's config, until that
+row's run takes them.
 Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
@@ -51,7 +53,7 @@ from .pauli import PauliTerm
 INPUT_FOCK = (1, 1)
 
 # The widest register whose circuit run is measured: a 1-step run_hom takes
-# 2.4–3.4 s and 115 MB peak RSS in its own process, imports included, on a
+# 2.6–2.8 s and 119 MB peak RSS in its own process, imports included, on a
 # shared 2-core host (one BLAS thread).
 MAX_QUBITS_PER_MODE = 6
 
@@ -127,12 +129,14 @@ class ExperimentReport:
 
 @dataclass(frozen=True)
 class CompiledStep:
-    """A config's run with θ and the step count left unbound: its key.
+    """A config's runs with θ and the step count left unbound: its key,
+    qubits per mode and full/reduced H. Exact and circuit runs of one width
+    and H share it; a run's path is its config's.
 
     Each θ-free part is built from the key on first need and kept: the
     input's ``Sector``, the register's bitstring labels in index order, the
     step's terms with their real coefficients, the rotation pass's tables
-    and the ``StepProfile`` of the step's gates. So an exact run never
+    and the ``StepProfile`` of the step's circuit. So an exact run never
     builds H, a circuit report never builds the sector, and a run whose
     angles are refused builds neither tables nor gates. ``compile_step``
     keeps the last step it compiled, so the runs of one key share it: each
@@ -144,7 +148,6 @@ class CompiledStep:
 
     qubits_per_mode: int
     reduced: bool
-    exact: bool
 
     @cached_property
     def sector(self) -> Sector:
@@ -168,7 +171,7 @@ class CompiledStep:
     @cached_property
     def profile(self) -> circ.StepProfile:
         # At θ = 1 and one step each angle is its coefficient; the profile reads no angle.
-        return circ.StepProfile.of(self.circuit(1.0, 1))
+        return circ.StepProfile(self.circuit(1.0, 1))
 
     @cached_property
     def pending(self) -> dict[ExperimentConfig, tuple[sv.StateVector, sv.StateVector]]:
@@ -202,10 +205,10 @@ _last_step = lru_cache(maxsize=1)(CompiledStep)
 
 
 def compile_step(config: ExperimentConfig) -> CompiledStep:
-    """The ``CompiledStep`` of ``config``'s qubits per mode, full/reduced
-    choice and exact/circuit path: the last one compiled when the key is
-    the same, else a new one that replaces it."""
-    return _last_step(config.qubits_per_mode, config.reduced, config.exact)
+    """The ``CompiledStep`` of ``config``'s qubits per mode and full/reduced
+    choice: the last one compiled when the key is the same, else a new one
+    that replaces it."""
+    return _last_step(config.qubits_per_mode, config.reduced)
 
 
 def run_hom(config: ExperimentConfig) -> ExperimentReport:
@@ -245,20 +248,20 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
     """``run_hom`` of ``config`` with field ``name`` set to each of ``values``
     and row i seeded ``seed + i``, in order, one report at a time.
 
-    Circuit rows are evolved ahead in batches of at most
-    ``statevector.BATCH_WEIGHTS`` written-out weights, their states kept on
-    the step until each row's run takes its own. The row with the most
-    steps is bound first, so a row over the rotation cap is refused before
-    any row runs, and no state is left kept, refused or not.
+    Circuit rows are evolved ahead in batches of ``statevector.batch_rows``
+    rows (at least one), their states kept on the step until each row's run
+    takes its own. The row with the most steps is bound first, so a row over
+    the rotation cap is refused before any row runs, and no state is left
+    kept, refused or not.
     """
     configs = [replace(config, **{name: v}, seed=config.seed + i) for i, v in enumerate(values)]
-    compiled = compile_step(config)
-    if compiled.exact:
+    if config.exact:
         yield from map(run_hom, configs)
         return
+    compiled = compile_step(config)
     longest = max(configs, key=lambda c: c.trotter_steps)
     circ.bind_angles(compiled.terms, longest.theta, longest.trotter_steps)
-    size = max(1, sv.BATCH_WEIGHTS // (max(1, len(compiled.terms)) << 2 * compiled.qubits_per_mode))
+    size = max(1, sv.batch_rows(len(compiled.terms), 2 * compiled.qubits_per_mode))
     try:
         for i in range(0, len(configs), size):
             batch = configs[i : i + size]

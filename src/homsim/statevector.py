@@ -3,10 +3,11 @@
 Two ways to evolve a state by a Trotterized Hamiltonian. The rotation pass
 applies each exp(+iαP) of one Trotter step as cos α·ψ + i sin α·Pψ, a few
 vector operations per term, and repeats the step: ``rotation_tables``
-builds each string's gather index, sign vector and phase, none of which
-depend on the angles, and ``evolve`` binds runs to them, each a set of
-angles and a repeat count, so a sweep builds the tables once. While
-their written-out weights fit ``BATCH_WEIGHTS`` it runs them as one batch
+builds one gather index per x mask, one sign vector per z mask and each
+string's phase, none of which depend on the angles, and ``evolve`` binds
+runs to them, each a set of angles and a repeat count, so a sweep builds
+the tables once. While as many rows as there are runs fit ``batch_rows``,
+the one reading of the ``BATCH_WEIGHTS`` budget, it runs them as one batch
 of rows in place, four numpy calls per rotation for all rows still
 running and no vector per string; a lone run is a batch of one. Past the
 budget each run takes a loop of five calls with 0-d weights. Every row is
@@ -42,15 +43,22 @@ RNG_ALGORITHM = "numpy-pcg64"
 
 # The most weights one batch of rows writes out: strings × rows × 2^n
 # amplitudes, 32 bytes each (cos and sin); with its signs and gathers a full
-# batch at 3 qubits per mode peaked at 5.1 MB. Runs past it each take the
-# 0-d loop alone. Batch of m one-step rows against m lone runs (median of
-# 5–7, shared 2-core host, one BLAS thread): 2 qubits per mode, m = 2 took
-# 0.65×, 7 0.37×, 16 0.32×; 3 qubits, m = 2 0.65×, 4 0.51×, 7 0.45×; 4
-# qubits, m = 2 1.19×, 4 1.10×; 5 qubits, m = 2 2.13×. A lone one-step run
-# in the batch loop took 0.96× its 0-d loop's time at 2 qubits per mode,
-# 0.83× at 3 and 1.23× at 4. So a sweep's batch holds 256 rows at 2 qubits
-# per mode and 7 at 3, and from 4 up every run takes the 0-d loop.
+# batch at 3 qubits per mode peaked at 5.1 MB. ``batch_rows`` is the one
+# reading of it; runs past it each take the 0-d loop alone. Batch of m
+# one-step rows against m lone runs (median of 5–7, shared 2-core host, one
+# BLAS thread): 2 qubits per mode, m = 2 took 0.65×, 7 0.37×, 16 0.32×; 3
+# qubits, m = 2 0.65×, 4 0.51×, 7 0.45×; 4 qubits, m = 2 1.19×, 4 1.10×; 5
+# qubits, m = 2 2.13×. A lone one-step run in the batch loop took 0.96× its
+# 0-d loop's time at 2 qubits per mode, 0.83× at 3 and 1.23× at 4. So a
+# sweep's batch holds 256 rows at 2 qubits per mode and 7 at 3, and from 4
+# up every run takes the 0-d loop.
 BATCH_WEIGHTS = 2 ** 17
+
+
+def batch_rows(strings: int, n_qubits: int) -> int:
+    """The most rows of ``strings`` rotations on ``n_qubits`` whose weights,
+    written out, fit ``BATCH_WEIGHTS``; 0 when not even one row fits."""
+    return BATCH_WEIGHTS // max(1, strings << n_qubits)
 
 
 class NormDriftError(RuntimeError):
@@ -134,19 +142,18 @@ def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
 @dataclass(frozen=True, eq=False)
 class RotationTables:
     """What the rotation pass needs of one step's Pauli strings, none of it
-    dependent on the angles: per string, in step order, its gather index
-    j ⊕ x, its int8 sign vector (−1)^|z&·| and the constant i·i^|x&z|.
+    dependent on the angles: each string's gather index j ⊕ x, its int8
+    sign vector (−1)^|z&·| and the constant i·i^|x&z|, each held once.
 
     Strings that share an x mask share one row of ``gathers``, and strings
     that share a z mask one row of ``signs`` (``x_rows`` and ``z_rows`` name
-    each string's rows), so memory grows with the distinct masks (q² x
-    masks for the beam splitter at q qubits per mode), not with the number
-    of strings. ``factors`` holds each string's factors (1, i·i^|x&z|) of
-    cos α and sin α.
+    each string's rows, in step order), so memory grows with the distinct
+    masks (q² x masks for the beam splitter at q qubits per mode), not with
+    the number of strings. ``factors`` holds each string's factors
+    (1, i·i^|x&z|) of cos α and sin α.
     """
 
     n_qubits: int
-    actions: tuple[tuple[np.ndarray, np.ndarray, complex], ...]
     gathers: np.ndarray
     signs: np.ndarray
     x_rows: tuple[int, ...]
@@ -177,7 +184,6 @@ def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables
     x_rows, z_rows, phases = zip(*strings) if strings else ((), (), ())
     return RotationTables(
         n,
-        tuple((gathers[x], signs[z], phase) for x, z, phase in strings),
         gathers,
         signs,
         x_rows,
@@ -195,23 +201,23 @@ def evolve(
 
     Since P² = I, exp(iαP)ψ = cos α·ψ + i sin α·Pψ, and (Pψ)[j] =
     i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. When the runs' weights written out,
-    strings × runs × 2^n, fit ``BATCH_WEIGHTS``, the runs evolve as one
-    batch of rows, longest repeat first, four numpy calls per string for
-    all rows still running, and a row leaves after its own repeats. Past
-    the budget each run evolves alone with 0-d weights, five numpy calls
-    per string. Each product has a factor that is purely real or purely
+    strings × runs × 2^n, fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs
+    evolve as one batch of rows, longest repeat first, four numpy calls per
+    string for all rows still running, and a row leaves after its own
+    repeats. Past the budget each run evolves alone with 0-d weights, five
+    numpy calls per string. Each product has a factor that is purely real or purely
     imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops over its
     operands, every row is bit for bit that formula's operands in its
     order, as its lone run is.
     """
     if tables.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
-    strings = len(tables.actions)
+    strings = len(tables.x_rows)
     if any(len(angles) != strings for angles, _ in runs):
         raise ValueError("every run needs one angle per string")
     if any(repeat < 1 for _, repeat in runs):
         raise ValueError("repeat must be >= 1")
-    if strings * len(runs) << s.n_qubits > BATCH_WEIGHTS:
+    if len(runs) > batch_rows(strings, s.n_qubits):
         return [_evolve_alone(s, tables, angles, repeat) for angles, repeat in runs]
     order = sorted(range(len(runs)), key=lambda i: runs[i][1], reverse=True)
     m, dim = len(order), 2 ** s.n_qubits
@@ -286,15 +292,15 @@ def _evolve_alone(s: StateVector, tables: RotationTables, angles, repeat: int) -
     psi = s.amplitudes.copy()
     signed = np.empty_like(psi)
     kept = np.empty_like(psi)
-    actions = tables.actions
+    gather_rows, sign_rows = list(tables.gathers), list(tables.signs)
     cos = np.array(list(map(math.cos, angles)), dtype=complex)
     sin_phase = np.array(
-        [math.sin(a) * phase for a, (_, _, phase) in zip(angles, actions, strict=True)],
+        [math.sin(a) * phase for a, phase in zip(angles, tables.factors[1].tolist(), strict=True)],
         dtype=complex,
     )
     step = [
-        (gather, sign, cos[i, ...], sin_phase[i, ...])
-        for i, (gather, sign, _) in enumerate(actions)
+        (gather_rows[x], sign_rows[z], cos[i, ...], sin_phase[i, ...])
+        for i, (x, z) in enumerate(zip(tables.x_rows, tables.z_rows))
     ]
     multiply, add = np.multiply, np.add
     for _ in range(repeat):

@@ -475,8 +475,9 @@ class TestMetrics:
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         n = 2 * qpm
-        step = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1).step
-        profile = StepProfile(n, step)
+        c = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1)
+        step = c.step
+        profile = StepProfile(c)
         repeats = range(1, 2 * n + 2)
         want = [layered_metrics(Circuit(n, step * r)) for r in repeats]
         for _ in range(2):
@@ -493,19 +494,20 @@ class TestMetrics:
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         n = 2 * qpm
-        step = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1).step
+        c = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1)
+        step = c.step
         busy, walked = [0] * n, {}
         for r in range(1, 101):
             walked[r] = max(circuit._layer(step, busy))
         # Walks past building the n-walk delay rows: 64, 8, 100, 17 and 16
         # compose, 3 walks three steps; 1, 2, 4 and 3 walk 1 + 1 + 2 + 1.
         for repeats, walks in [([64, 8, 100, 3, 17, 16], 3), ([1, 2, 4, 8, 3], 5)]:
-            fresh = [StepProfile(n, step).metrics(r) for r in repeats]
+            fresh = [StepProfile(c).metrics(r) for r in repeats]
             calls, layers = [], []
             delays, layer = circuit._delays, circuit._layer
             monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
             monkeypatch.setattr(circuit, "_layer", lambda *a: layers.append(1) or layer(*a))
-            profile = StepProfile(n, step)
+            profile = StepProfile(c)
             got = [profile.metrics(r) for r in repeats]
             monkeypatch.undo()
             assert got == fresh
@@ -517,7 +519,7 @@ class TestMetrics:
                 assert r > 8 or m == layered_metrics(Circuit(n, step * r))
 
     def test_step_profile_refuses_repeat_below_one(self):
-        profile = StepProfile(2, rotation_circuit("XY", 0.3).step)
+        profile = StepProfile(rotation_circuit("XY", 0.3))
         with pytest.raises(ValueError, match="repeat must be >= 1"):
             profile.metrics(0)
 
@@ -579,7 +581,7 @@ class TestGateIndex:
         want = layered_metrics(Circuit(2, shared.gates))
         assert want["gate_counts"] == {"CNOT": 4, "H": 4, "RZ": 2}
         assert metrics(shared) == metrics(separate) == want
-        profiles = [StepProfile(2, c.step) for c in (shared, separate)]
+        profiles = [StepProfile(c) for c in (shared, separate)]
         assert [p.metrics(2) for p in profiles] == [want, want]
         body = "h q[0];\ncx q[0],q[1];\nrz(-0) q[1];\ncx q[0],q[1];\nh q[0];\n"
         header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'

@@ -247,6 +247,8 @@ class TestCompiledStep:
         changes = [{"theta": 0.1}, {"shots": 7}, {"seed": 9}]
         if not config.exact:
             changes += [{"trotter_steps": 3}, {"theta": 0.1, "trotter_steps": 3, "shots": 7}]
+        if not config.reduced:
+            changes.append({"exact": not config.exact})
         for change in changes:
             assert compile_step(replace(config, **change)) is step
 
@@ -258,11 +260,10 @@ class TestCompiledStep:
             (ExperimentConfig(), ExperimentConfig(reduced=True)),
             (ExperimentConfig(reduced=True), ExperimentConfig()),
             (ExperimentConfig(exact=True), ExperimentConfig(exact=True, qubits_per_mode=3)),
-            (ExperimentConfig(exact=True), ExperimentConfig()),
             (ExperimentConfig(exact=True), ExperimentConfig(reduced=True)),
         ],
         ids=["qpm-2-then-3", "qpm-3-then-2", "full-then-reduced", "reduced-then-full",
-             "exact-qpm-2-then-3", "exact-then-full", "exact-then-reduced"],
+             "exact-qpm-2-then-3", "exact-then-reduced"],
     )
     def test_another_key_replaces_the_step(self, first, then):
         # A step differing in any key field is another, unequal object, and
@@ -276,6 +277,32 @@ class TestCompiledStep:
         del step
         gc.collect()
         assert kept() is None
+
+    @pytest.mark.parametrize("qpm", [1, 2, 3])
+    def test_exact_and_full_circuit_runs_share_one_step(self, count_calls, qpm):
+        # The path is the config's, not the key's: one sector serves both.
+        exact = ExperimentConfig(exact=True, qubits_per_mode=qpm)
+        circuit_run = replace(exact, exact=False)
+        assert compile_step(exact) is compile_step(circuit_run)
+        calls = count_calls((experiments, "fock_sector"))
+        run_hom(circuit_run)
+        run_hom(exact)
+        assert calls == {"fock_sector": 1}
+
+    def test_tables_hold_one_copy_of_each_mask_row(self):
+        # 12,800 strings at 5 qubits per mode share 25 gather rows and 1,022
+        # sign rows (1.7 MB with the factors); a per-string view of each,
+        # kept next to them, held 6.2 MB in all.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=5))
+        compiled.terms
+        tracemalloc.start()
+        try:
+            tables = compiled.tables
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(tables.x_rows) == 12_800
+        assert held < 3_000_000
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize(

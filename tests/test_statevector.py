@@ -258,13 +258,14 @@ def hermitian_runs(draw):
 
 def plain_evolve(s, tables, angles, repeat=1):
     """Reference rotation pass: one fresh vector expression per string, Python-scalar weights."""
+    phases = tables.factors[1].tolist()
     weights = [
-        (math.cos(a), math.sin(a) * phase)
-        for a, (_, _, phase) in zip(angles, tables.actions, strict=True)
+        (math.cos(a), math.sin(a) * phase) for a, phase in zip(angles, phases, strict=True)
     ]
+    masks = [(tables.gathers[x], tables.signs[z]) for x, z in zip(tables.x_rows, tables.z_rows)]
     psi = s.amplitudes
     for _ in range(repeat):
-        for (gather, sign, _), (cos, sin_phase) in zip(tables.actions, weights):
+        for (gather, sign), (cos, sin_phase) in zip(masks, weights):
             psi = cos * psi + sin_phase * (sign * psi)[gather]
     return psi
 
