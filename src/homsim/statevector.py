@@ -6,12 +6,12 @@ vector operations per term, and repeats the step: ``rotation_tables``
 builds one gather index per x mask, one sign vector per z mask and each
 string's phase, none of which depend on the angles, and ``evolve`` binds
 runs to them, each a set of angles and a repeat count, so a sweep builds
-the tables once. While as many rows as there are runs fit ``batch_rows``,
-the one reading of the ``BATCH_WEIGHTS`` budget, it runs them as one batch
-of rows in place, four numpy calls per rotation for all rows still
-running and no vector per string; a lone run is a batch of one. Past the
-budget each run takes a loop of five calls with 0-d weights. Every row is
-bit for bit its lone run in either loop.
+the tables once. When one row fits ``batch_rows``, the one reading of the
+``BATCH_WEIGHTS`` budget, it runs them in batches of that many rows in
+place, three numpy calls per rotation for all rows still running; a lone
+run is a batch of one. Otherwise each run takes a loop of five calls with
+0-d weights. Every row is bit for bit its lone run; across the two loops
+only the sign of a zero amplitude may differ.
 ``apply_circuit`` runs the synthesized circuit gate by gate and is the
 reference the rotations are tested against. ``apply_dense`` applies a
 full unitary such as ``beamsplitter.exact_unitary``; runs do not take it,
@@ -42,16 +42,17 @@ MAX_GATE_QUBITS = 24
 RNG_ALGORITHM = "numpy-pcg64"
 
 # The most weights one batch of rows writes out: strings × rows × 2^n
-# amplitudes, 32 bytes each (cos and sin); with its signs and gathers a full
-# batch at 3 qubits per mode peaked at 5.1 MB. ``batch_rows`` is the one
-# reading of it; runs past it each take the 0-d loop alone. Batch of m
-# one-step rows against m lone runs (median of 5–7, shared 2-core host, one
-# BLAS thread): 2 qubits per mode, m = 2 took 0.65×, 7 0.37×, 16 0.32×; 3
-# qubits, m = 2 0.65×, 4 0.51×, 7 0.45×; 4 qubits, m = 2 1.19×, 4 1.10×; 5
-# qubits, m = 2 2.13×. A lone one-step run in the batch loop took 0.96× its
-# 0-d loop's time at 2 qubits per mode, 0.83× at 3 and 1.23× at 4. So a
+# amplitudes, 32 bytes each (cos and sin); with its gathers and folded signs
+# a full batch at 3 qubits per mode peaked at 4.8 MB. ``batch_rows`` is the
+# one reading of it; when not even one row fits, each run takes the 0-d
+# loop alone. Batch of m one-step rows against m lone 0-d runs (median of
+# 7–41, shared 2-core host, one BLAS thread, two passes): 2 qubits per
+# mode, m = 1 took 0.81–0.98×, 2 0.48–0.50×, 7 0.23–0.24×, 16 0.30–0.31×;
+# 3 qubits, m = 1 0.78–0.85×, 2 0.49–0.55×, 4 0.39–0.40×, 7 0.31–0.33×,
+# 14 0.28×; 4 qubits, m = 1 1.36–1.42×, 2 1.20–1.26×, 4 1.13–1.30×. So a
 # sweep's batch holds 256 rows at 2 qubits per mode and 7 at 3, and from 4
-# up every run takes the 0-d loop.
+# up every run takes the 0-d loop; doubling the budget would gain a tenth
+# a row at 3 qubits per mode for twice the memory.
 BATCH_WEIGHTS = 2 ** 17
 
 
@@ -200,15 +201,15 @@ def evolve(
     ``s`` is left as it was.
 
     Since P² = I, exp(iαP)ψ = cos α·ψ + i sin α·Pψ, and (Pψ)[j] =
-    i^|x&z|·((−1)^|z&·|·ψ)[j ⊕ x]. When the runs' weights written out,
-    strings × runs × 2^n, fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs
-    evolve as one batch of rows, longest repeat first, four numpy calls per
-    string for all rows still running, and a row leaves after its own
-    repeats. Past the budget each run evolves alone with 0-d weights, five
-    numpy calls per string. Each product has a factor that is purely real or purely
-    imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops over its
-    operands, every row is bit for bit that formula's operands in its
-    order, as its lone run is.
+    i^|x&z|·(−1)^|z&(j⊕x)|·ψ[j ⊕ x]. When one row's weights, written out,
+    fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs evolve in batches of
+    that many rows, three numpy calls per string for all rows still
+    running; otherwise each run evolves alone with 0-d weights, five numpy
+    calls per string. Each product has a factor that is purely real or
+    purely imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops
+    over its operands, every row is bit for bit its loop's formula and its
+    lone run. The batch loop signs ψ after its gather and the 0-d loop
+    before it: across them only the sign of a zero amplitude may differ.
     """
     if tables.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
@@ -217,19 +218,27 @@ def evolve(
         raise ValueError("every run needs one angle per string")
     if any(repeat < 1 for _, repeat in runs):
         raise ValueError("repeat must be >= 1")
-    if len(runs) > batch_rows(strings, s.n_qubits):
+    rows = batch_rows(strings, s.n_qubits)
+    if not rows:
         return [_evolve_alone(s, tables, angles, repeat) for angles, repeat in runs]
+    chunks = [runs[i : i + rows] for i in range(0, len(runs), rows)]
+    return [state for chunk in chunks for state in _evolve_batch(s, tables, chunk)]
+
+
+def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVector]:
+    """One batch of ``runs`` in place, longest repeat first; a row leaves after its repeats."""
     order = sorted(range(len(runs)), key=lambda i: runs[i][1], reverse=True)
-    m, dim = len(order), 2 ** s.n_qubits
+    m, dim, strings = len(order), 2 ** s.n_qubits, len(tables.x_rows)
     # Every operand of a call has the running rows' shape and is contiguous,
     # so numpy takes its same-shape loop (a broadcast or strided operand
-    # costs up to twice as much a call): the signs and gathers of all rows,
-    # of which a phase takes its running rows' prefix, and per string the
-    # rows' cos α and sin α·i·i^|x&z| written out along each row.
-    signs, gathers = _batch_tables(tables, m)
+    # costs up to twice as much a call): the gathers of all rows, of which a
+    # phase takes its running rows' prefix, and per string the rows' cos α
+    # and sin α·i·i^|x&z|·(−1)^|z&(j⊕x)| written out along each row.
+    gathers = _batch_gathers(tables, m)
+    z_rows = np.array(tables.z_rows, dtype=int)[:, None]
+    folded = tables.signs[z_rows, tables.gathers[list(tables.x_rows)]]
     trig = [(list(map(math.cos, runs[i][0])), list(map(math.sin, runs[i][0]))) for i in order]
     columns = (np.array(trig).reshape(m, 2, strings) * tables.factors).transpose(2, 1, 0)
-    signed = np.empty((m, dim), dtype=complex)
     state = s.amplitudes[None]
     out: list = [None] * m
     done = 0
@@ -239,17 +248,12 @@ def evolve(
         buf = np.empty((2, k, dim), dtype=complex)
         buf[0] = state[:k]
         weights = np.empty((strings, 2, k, dim), dtype=complex)
-        weights[:] = columns[:, :, :k, None]
-        sign_rows, gather_rows = list(signs[:, :k]), list(gathers[:, :k])
-        step = list(
-            zip(
-                [sign_rows[z] for z in tables.z_rows],
-                [gather_rows[x] for x in tables.x_rows],
-                weights,
-            )
-        )
+        weights[:, 0] = columns[:, 0, :k, None]
+        np.multiply(columns[:, 1, :k, None], folded[:, None], weights[:, 1])
+        gather_rows = list(gathers[:, :k])
+        step = list(zip([gather_rows[x] for x in tables.x_rows], weights))
         repeat = runs[order[-1]][1]
-        _rotate(buf, signed[:k], step, repeat - done)
+        _rotate(buf, step, repeat - done)
         state = buf[0]
         done = repeat
         while order and runs[order[-1]][1] == done:
@@ -258,27 +262,24 @@ def evolve(
     return out
 
 
-def _batch_tables(tables: RotationTables, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """For a batch of ``m`` rows, per z mask the signs as complex rows and
-    per x mask each row's gather into the flattened batch: row r's gather
-    index offset by r·2^n, so any prefix of k rows gathers among them."""
+def _batch_gathers(tables: RotationTables, m: int) -> np.ndarray:
+    """For a batch of ``m`` rows, per x mask each row's gather into the
+    flattened batch: row r's gather index offset by r·2^n, so any prefix
+    of k rows gathers among them."""
     dim = 2 ** tables.n_qubits
-    signs = np.empty((len(tables.signs), m, dim), dtype=complex)
-    signs[:] = tables.signs[:, None]
-    return signs, tables.gathers[:, None] + np.arange(0, m * dim, dim)[:, None]
+    return tables.gathers[:, None] + np.arange(0, m * dim, dim)[:, None]
 
 
-def _rotate(buf, signed, step, repeat: int) -> None:
-    """``repeat`` times, each string (sign, gather, weight) of ``step`` on
-    the state ``buf[0]`` in place, its moved part gathered into ``buf[1]``
-    through the scratch ``signed``; ``weight`` is cos α over ``buf[0]`` and
-    sin α·i·i^|x&z| over ``buf[1]``."""
+def _rotate(buf, step, repeat: int) -> None:
+    """``repeat`` times, each string (gather, weight) of ``step`` on the
+    state ``buf[0]`` in place in three calls: gather into the moved half
+    ``buf[1]``, multiply the buffer by ``weight`` (cos α over the state, the
+    signed sin α·i·i^|x&z| over the moved half), add the moved half."""
     psi, moved = buf
-    take = signed.reshape(-1).take
+    take = psi.reshape(-1).take
     multiply, add = np.multiply, np.add
     for _ in range(repeat):
-        for sign, gather, weight in step:
-            multiply(sign, psi, signed)
+        for gather, weight in step:
             take(gather, None, moved, "clip")
             multiply(weight, buf, buf)
             add(psi, moved, psi)

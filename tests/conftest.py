@@ -254,6 +254,38 @@ def rebuilt_sector_evolution(
     return out
 
 
+def givens_product(
+    enc: FockEncoding, fock: tuple[int, int], theta: float, steps: int, strang: bool = False
+) -> np.ndarray:
+    """Sector model of an x-major product formula on the input ``fock``.
+
+    A step of H's x-mask groups acts on the N-photon sector as one Givens
+    rotation exp(iα·w_k·X) per hop k → k+1, w_k = √((k+1)(N−k)) and α =
+    θ/steps, the hops taken by their register x mask rows[k] ^ rows[k+1]
+    ascending; ``strang`` halves α and takes the hops again descending.
+    Register amplitudes, zero outside the sector; nothing of ``pauli`` or
+    ``statevector`` is used.
+    """
+    n_b, n_a = fock
+    photons, q = n_b + n_a, enc.qubits_per_mode
+    ks = range(max(0, photons - enc.capacity), min(photons, enc.capacity) + 1)
+    rows = [basis_index(enc, k) << q | basis_index(enc, photons - k) for k in ks]
+    hops = sorted(
+        (rows[i] ^ rows[i + 1], i, math.sqrt((k + 1) * (photons - k)))
+        for i, k in enumerate(ks[:-1])
+    )
+    alpha = theta / steps / (2 if strang else 1)
+    v = np.zeros(len(ks), dtype=complex)
+    v[n_b - ks[0]] = 1
+    for _ in range(steps):
+        for _, i, w in hops + hops[::-1] if strang else hops:
+            c, s = math.cos(alpha * w), 1j * math.sin(alpha * w)
+            v[i], v[i + 1] = c * v[i] + s * v[i + 1], s * v[i] + c * v[i + 1]
+    out = np.zeros(4 ** q, dtype=complex)
+    out[rows] = v
+    return out
+
+
 def walked_sample(s: StateVector, shots: int, seed: int) -> Histogram:
     """Reference ``sample``: every outcome's label formatted, the drawn kept, then sorted."""
     p = probabilities(s)

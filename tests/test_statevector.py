@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from conftest import apply_gate, walked_sample
+from conftest import apply_gate, givens_product, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
 from homsim.circuit import Circuit, Gate, bind_angles, step_terms, synthesize, trotter_sequence
 from homsim.experiments import ExperimentConfig, compile_step
 from homsim.gray import FockEncoding
-from homsim.pauli import PauliOp, PauliTerm
+from homsim.pauli import PauliOp, PauliTerm, _action
 from homsim.statevector import (
     Histogram,
     StateVector,
@@ -256,18 +256,41 @@ def hermitian_runs(draw):
     return Interaction(op=op), theta, steps, start
 
 
-def plain_evolve(s, tables, angles, repeat=1):
-    """Reference rotation pass: one fresh vector expression per string, Python-scalar weights."""
+def plain_strings(tables, angles):
+    """Each string's gather, int8 sign and Python-scalar cos α and sin α·i·i^|x&z|."""
     phases = tables.factors[1].tolist()
-    weights = [
-        (math.cos(a), math.sin(a) * phase) for a, phase in zip(angles, phases, strict=True)
+    return [
+        (tables.gathers[x], tables.signs[z], math.cos(a), math.sin(a) * phase)
+        for x, z, a, phase in zip(tables.x_rows, tables.z_rows, angles, phases, strict=True)
     ]
-    masks = [(tables.gathers[x], tables.signs[z]) for x, z in zip(tables.x_rows, tables.z_rows)]
+
+
+def plain_evolve(s, tables, angles, repeat=1):
+    """Reference of the 0-d loop: one fresh vector expression per string,
+    the state signed before its gather."""
     psi = s.amplitudes
+    strings = plain_strings(tables, angles)
     for _ in range(repeat):
-        for (gather, sign), (cos, sin_phase) in zip(masks, weights):
+        for gather, sign, cos, sin_phase in strings:
             psi = cos * psi + sin_phase * (sign * psi)[gather]
     return psi
+
+
+def plain_batch_evolve(s, tables, angles, repeat=1):
+    """Reference of the batch loop: one fresh vector expression per string,
+    the sign read along the gather and folded into the sin weight."""
+    psi = s.amplitudes
+    strings = plain_strings(tables, angles)
+    for _ in range(repeat):
+        for gather, sign, cos, sin_phase in strings:
+            psi = cos * psi + (sin_phase * sign[gather]) * psi[gather]
+    return psi
+
+
+def reference(tables):
+    """The plain expression of the loop ``evolve`` takes on ``tables``."""
+    fits = sv.batch_rows(len(tables.x_rows), tables.n_qubits)
+    return plain_batch_evolve if fits else plain_evolve
 
 
 @st.composite
@@ -285,8 +308,9 @@ def random_state(n, seed):
     return StateVector(n, psi / np.linalg.norm(psi))
 
 
-# The real budget runs every drawn run in the four-call batch loop; a budget
-# of 0 sends every run alone to the 0-d loop.
+# The real budget runs every drawn run in the three-call batch loop; a budget
+# of 0 sends every run alone to the 0-d loop. Each loop is its own plain
+# expression's bytes.
 BUDGETS = pytest.mark.parametrize("budget", [sv.BATCH_WEIGHTS, 0], ids=["batch", "zero-d"])
 
 
@@ -304,7 +328,8 @@ class TestRotationPass:
                 tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
                 angles = [a for _, a in step]
                 fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
-                assert fast.tobytes() == plain_evolve(start, tables, angles, steps).tobytes()
+                plain = reference(tables)(start, tables, angles, steps)
+                assert fast.tobytes() == plain.tobytes()
 
     @BUDGETS
     @given(run=batched_runs())
@@ -322,14 +347,14 @@ class TestRotationPass:
             assert start.amplitudes.tobytes() == before
             assert len(batch) == len(runs)
             for (angles, repeat), state in zip(runs, batch):
-                plain = plain_evolve(start, tables, angles, repeat).tobytes()
+                plain = reference(tables)(start, tables, angles, repeat).tobytes()
                 assert state.amplitudes.tobytes() == plain
                 lone = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
                 assert lone.tobytes() == plain
 
     @staticmethod
-    def loops_taken(monkeypatch) -> list[str]:
-        """From here on, the name of each loop ``evolve`` enters, in order."""
+    def loops_taken(monkeypatch, names=("_rotate", "_evolve_alone")) -> list[str]:
+        """From here on, the name of each of ``names`` ``evolve`` enters, in order."""
         taken = []
 
         def spy(name, loop):
@@ -339,7 +364,7 @@ class TestRotationPass:
 
             return entered
 
-        for name in ("_rotate", "_evolve_alone"):
+        for name in names:
             monkeypatch.setattr(sv, name, spy(name, getattr(sv, name)))
         return taken
 
@@ -355,20 +380,42 @@ class TestRotationPass:
         assert taken == [loop]
 
     def test_the_budget_picks_the_loop(self, monkeypatch):
-        # 3 strings × 2 rows × 4 amplitudes: at 24 weights one batch runs a
-        # phase per repeat count, at 23 each row runs alone.
+        # 3 strings × 4 amplitudes = 12 weights a row: at 24 one batch of both
+        # rows runs a phase per repeat count, at 12–23 each row is a batch of
+        # one, and below 12 each row runs alone in the 0-d loop.
         terms = [PauliTerm.from_label(1.0, label) for label in ("XY", "ZI", "YY")]
         tables = sv.rotation_tables(2, terms)
         runs = [([0.1, 0.2, 0.3], 1), ([0.4, 0.5, 0.6], 3)]
-        taken = self.loops_taken(monkeypatch)
+        taken = self.loops_taken(monkeypatch, ("_evolve_batch", "_rotate", "_evolve_alone"))
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 24)
         batch = sv.evolve(random_state(2, 3), tables, runs)
-        assert taken == ["_rotate", "_rotate"]
+        assert taken == ["_evolve_batch", "_rotate", "_rotate"]
+        for budget in (12, 23):
+            taken.clear()
+            monkeypatch.setattr(sv, "BATCH_WEIGHTS", budget)
+            chunks = sv.evolve(random_state(2, 3), tables, runs)
+            assert taken == ["_evolve_batch", "_rotate"] * 2
+            assert [s.amplitudes.tobytes() for s in chunks] == [
+                s.amplitudes.tobytes() for s in batch
+            ]
         taken.clear()
-        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 23)
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 11)
         alone = sv.evolve(random_state(2, 3), tables, runs)
         assert taken == ["_evolve_alone", "_evolve_alone"]
-        assert [s.amplitudes.tobytes() for s in batch] == [s.amplitudes.tobytes() for s in alone]
+        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(alone, batch))
+
+    def test_loops_differ_only_in_the_sign_of_a_zero(self, monkeypatch):
+        # From a basis start at qpm 3, θ = −1.3 and one step, the batch loop
+        # writes +0 where the 0-d loop writes −0; every amplitude compares
+        # equal and the probabilities keep their bytes.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=3))
+        start = init_basis(6, compiled.labels[compiled.sector.start])
+        runs = [(bind_angles(compiled.terms, -1.3, 1), 1)]
+        batch = sv.evolve(start, compiled.tables, runs)[0]
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
+        alone = sv.evolve(start, compiled.tables, runs)[0]
+        assert np.array_equal(batch.amplitudes, alone.amplitudes)
+        assert probabilities(batch).tobytes() == probabilities(alone).tobytes()
 
     @staticmethod
     def assert_gathers_permute(tables):
@@ -377,8 +424,7 @@ class TestRotationPass:
         for gather in tables.gathers:
             assert np.array_equal(np.sort(gather), np.arange(dim))
         for rows in (1, 2, 7):
-            _, gathers = sv._batch_tables(tables, rows)
-            for gather in gathers:
+            for gather in sv._batch_gathers(tables, rows):
                 for k in range(1, rows + 1):
                     assert np.array_equal(np.sort(gather[:k].ravel()), np.arange(k * dim))
 
@@ -413,7 +459,7 @@ class TestRotationPass:
             angles = bind_angles(compiled.terms, theta, steps)
             for start in starts:
                 fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
-                slow = plain_evolve(start, compiled.tables, angles, steps)
+                slow = reference(compiled.tables)(start, compiled.tables, angles, steps)
                 assert fast.tobytes() == slow.tobytes()
 
     @pytest.mark.parametrize("strings", [0, 1, 32])
@@ -483,3 +529,47 @@ class TestRotationPass:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+class TestSectorModel:
+    THETAS = (math.pi / 4, 0.37, 1.3)
+
+    @staticmethod
+    def x_major(qpm):
+        """The |1,1⟩ start and H's (term, coeff) pairs sorted by x mask, then z."""
+        full = compile_step(ExperimentConfig(qubits_per_mode=qpm))
+        start = init_basis(2 * qpm, full.labels[full.sector.start])
+        return start, sorted(full.terms, key=lambda t: _action(t[0])[:2])
+
+    @pytest.mark.parametrize("qpm", [2, 3, 4])
+    def test_x_major_step_is_the_givens_product(self, qpm):
+        # Each x group's exponential in turn, all steps of a θ in one call
+        # (the batch loop at qpm 2–3, the 0-d loop at 4).
+        start, ordered = self.x_major(qpm)
+        tables = sv.rotation_tables(2 * qpm, [term for term, _ in ordered])
+        for theta in self.THETAS:
+            runs = [(bind_angles(ordered, theta, steps), steps) for steps in (1, 2, 4)]
+            for (_, steps), out in zip(runs, sv.evolve(start, tables, runs)):
+                model = givens_product(FockEncoding(qpm), (1, 1), theta, steps)
+                assert np.max(np.abs(out.amplitudes - model)) <= 1e-12
+
+    @pytest.mark.parametrize("qpm", [2, 3, 4])
+    def test_reduced_lex_is_x_major_strang_on_the_sector(self, qpm):
+        # On |1,1⟩ the reduced lex step at s steps is the x-major Strang
+        # product at 2^(q−2)·s steps. The Strang run takes the batch loop at
+        # qpm 2–3 and the 0-d loop at 4, the reduced run the batch loop.
+        start, ordered = self.x_major(qpm)
+        strang = sv.rotation_tables(2 * qpm, [term for term, _ in ordered + ordered[::-1]])
+        reduced = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=True))
+        for theta in self.THETAS:
+            for steps in (1, 2, 4):
+                effective = 2 ** (qpm - 2) * steps
+                halves = bind_angles(ordered, theta, 2 * effective)
+                runs = [
+                    (strang, halves + halves[::-1], effective),
+                    (reduced.tables, bind_angles(reduced.terms, theta, steps), steps),
+                ]
+                model = givens_product(FockEncoding(qpm), (1, 1), theta, effective, strang=True)
+                for tables, angles, repeat in runs:
+                    out = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
+                    assert np.max(np.abs(out - model)) <= 1e-12
