@@ -69,12 +69,12 @@ def hop_term(encoding: FockEncoding, n: int) -> PauliOp:
         raise ValueError(f"hop index {n} outside [1, {encoding.capacity}]")
     src = gray_bits(encoding, n - 1)
     dst = gray_bits(encoding, n)
-    factors = [
+    ops = [
         ladder(int(d)) if s != d else projector(int(d))
         for s, d in zip(src, dst)
     ]
-    out = factors[0]
-    for f in factors[1:]:
+    out = ops[0]
+    for f in ops[1:]:
         out = out.tensor(f)
     return out
 

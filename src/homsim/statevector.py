@@ -10,8 +10,8 @@ the tables once. When one row fits ``batch_rows``, the one reading of the
 ``BATCH_WEIGHTS`` budget, it runs them in batches of that many rows in
 place, three numpy calls per rotation for all rows still running; a lone
 run is a batch of one. Otherwise each run takes a loop of five calls with
-0-d weights. Every row is bit for bit its lone run; across the two loops
-only the sign of a zero amplitude may differ.
+0-d weights. Both loops compute one formula from one binding of the
+weights, so every row is bit for bit its lone run in either loop.
 ``apply_circuit`` runs the synthesized circuit gate by gate and is the
 reference the rotations are tested against. ``apply_dense`` applies a
 full unitary such as ``beamsplitter.exact_unitary``; runs do not take it,
@@ -42,8 +42,8 @@ MAX_GATE_QUBITS = 24
 RNG_ALGORITHM = "numpy-pcg64"
 
 # The most weights one batch of rows writes out: strings × rows × 2^n
-# amplitudes, 32 bytes each (cos and sin); with its gathers and folded signs
-# a full batch at 3 qubits per mode peaked at 4.8 MB. ``batch_rows`` is the
+# amplitudes, 32 bytes each (cos and sin); with its gathers and sign rows a
+# full batch at 3 qubits per mode peaked at 4.7 MB. ``batch_rows`` is the
 # one reading of it; when not even one row fits, each run takes the 0-d
 # loop alone. Batch of m one-step rows against m lone 0-d runs (median of
 # 7–41, shared 2-core host, one BLAS thread, two passes): 2 qubits per
@@ -144,14 +144,14 @@ def apply_circuit(s: StateVector, c: Circuit) -> StateVector:
 class RotationTables:
     """What the rotation pass needs of one step's Pauli strings, none of it
     dependent on the angles: each string's gather index j ⊕ x, its int8
-    sign vector (−1)^|z&·| and the constant i·i^|x&z|, each held once.
+    sign vector (−1)^|z&·| and its phase, each held once.
 
     Strings that share an x mask share one row of ``gathers``, and strings
     that share a z mask one row of ``signs`` (``x_rows`` and ``z_rows`` name
     each string's rows, in step order), so memory grows with the distinct
     masks (q² x masks for the beam splitter at q qubits per mode), not with
-    the number of strings. ``factors`` holds each string's factors
-    (1, i·i^|x&z|) of cos α and sin α.
+    the number of strings. ``phases`` holds each string's i·i^|x&z|·(−1)^|x&z|,
+    the factor of sin α once the sign is read at j rather than at j ⊕ x.
     """
 
     n_qubits: int
@@ -159,7 +159,7 @@ class RotationTables:
     signs: np.ndarray
     x_rows: tuple[int, ...]
     z_rows: tuple[int, ...]
-    factors: np.ndarray
+    phases: np.ndarray
 
 
 def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables:
@@ -173,7 +173,8 @@ def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables
         if term.width != n:
             raise ValueError(f"term {term.axes!r} does not fit a register of {n}")
         x, z, phase = _action(term)
-        strings.append((xs.setdefault(x, len(xs)), zs.setdefault(z, len(zs)), 1j * phase))
+        phase *= 1j * (-1) ** (x & z).bit_count()
+        strings.append((xs.setdefault(x, len(xs)), zs.setdefault(z, len(zs)), phase))
     j = np.arange(2 ** n)
     parity = _parity(n)
     gathers = np.empty((len(xs), 2 ** n), dtype=int)
@@ -183,14 +184,7 @@ def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables
     for row, z in zip(signs, zs):
         parity.take(z & j, None, row)
     x_rows, z_rows, phases = zip(*strings) if strings else ((), (), ())
-    return RotationTables(
-        n,
-        gathers,
-        signs,
-        x_rows,
-        z_rows,
-        np.array([(1,) * len(phases), phases], dtype=complex),
-    )
+    return RotationTables(n, gathers, signs, x_rows, z_rows, np.array(phases, dtype=complex))
 
 
 def evolve(
@@ -201,15 +195,15 @@ def evolve(
     ``s`` is left as it was.
 
     Since P² = I, exp(iαP)ψ = cos α·ψ + i sin α·Pψ, and (Pψ)[j] =
-    i^|x&z|·(−1)^|z&(j⊕x)|·ψ[j ⊕ x]. When one row's weights, written out,
-    fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs evolve in batches of
-    that many rows, three numpy calls per string for all rows still
-    running; otherwise each run evolves alone with 0-d weights, five numpy
-    calls per string. Each product has a factor that is purely real or
-    purely imaginary (cos α, sin α·i·i^|x&z|, ±1), so however numpy loops
-    over its operands, every row is bit for bit its loop's formula and its
-    lone run. The batch loop signs ψ after its gather and the 0-d loop
-    before it: across them only the sign of a zero amplitude may differ.
+    i^|x&z|·(−1)^|x&z|·(−1)^|z&j|·ψ[j ⊕ x]: each string's sign is read at j,
+    after the gather, from its own row of ``signs``. When one row's weights,
+    written out, fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs evolve in
+    batches of that many rows, three numpy calls per string for all rows
+    still running; otherwise each run evolves alone with 0-d weights, five
+    numpy calls per string. Both loops bind cos α and sin α·phase through
+    ``_weights`` and each product has a factor that is purely real or purely
+    imaginary (cos α, sin α·phase, ±1), so however numpy loops over its
+    operands, every row is bit for bit one formula, whichever loop runs it.
     """
     if tables.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
@@ -225,6 +219,14 @@ def evolve(
     return [state for chunk in chunks for state in _evolve_batch(s, tables, chunk)]
 
 
+def _weights(tables: RotationTables, angles) -> np.ndarray:
+    """One run's (2, strings) weights: each string's cos α and sin α·phase, complex."""
+    weights = np.empty((2, len(tables.x_rows)), dtype=complex)
+    weights[0] = list(map(math.cos, angles))
+    np.multiply(list(map(math.sin, angles)), tables.phases, weights[1])
+    return weights
+
+
 def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVector]:
     """One batch of ``runs`` in place, longest repeat first; a row leaves after its repeats."""
     order = sorted(range(len(runs)), key=lambda i: runs[i][1], reverse=True)
@@ -233,12 +235,10 @@ def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVec
     # so numpy takes its same-shape loop (a broadcast or strided operand
     # costs up to twice as much a call): the gathers of all rows, of which a
     # phase takes its running rows' prefix, and per string the rows' cos α
-    # and sin α·i·i^|x&z|·(−1)^|z&(j⊕x)| written out along each row.
+    # and sin α·phase·(−1)^|z&j| written out along each row.
     gathers = _batch_gathers(tables, m)
-    z_rows = np.array(tables.z_rows, dtype=int)[:, None]
-    folded = tables.signs[z_rows, tables.gathers[list(tables.x_rows)]]
-    trig = [(list(map(math.cos, runs[i][0])), list(map(math.sin, runs[i][0]))) for i in order]
-    columns = (np.array(trig).reshape(m, 2, strings) * tables.factors).transpose(2, 1, 0)
+    signs = tables.signs[list(tables.z_rows)]
+    columns = np.array([_weights(tables, runs[i][0]) for i in order]).transpose(2, 1, 0)
     state = s.amplitudes[None]
     out: list = [None] * m
     done = 0
@@ -249,7 +249,7 @@ def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVec
         buf[0] = state[:k]
         weights = np.empty((strings, 2, k, dim), dtype=complex)
         weights[:, 0] = columns[:, 0, :k, None]
-        np.multiply(columns[:, 1, :k, None], folded[:, None], weights[:, 1])
+        np.multiply(columns[:, 1, :k, None], signs[:, None], weights[:, 1])
         gather_rows = list(gathers[:, :k])
         step = list(zip([gather_rows[x] for x in tables.x_rows], weights))
         repeat = runs[order[-1]][1]
@@ -274,7 +274,7 @@ def _rotate(buf, step, repeat: int) -> None:
     """``repeat`` times, each string (gather, weight) of ``step`` on the
     state ``buf[0]`` in place in three calls: gather into the moved half
     ``buf[1]``, multiply the buffer by ``weight`` (cos α over the state, the
-    signed sin α·i·i^|x&z| over the moved half), add the moved half."""
+    signed sin α·phase over the moved half), add the moved half."""
     psi, moved = buf
     take = psi.reshape(-1).take
     multiply, add = np.multiply, np.add
@@ -286,31 +286,28 @@ def _rotate(buf, step, repeat: int) -> None:
 
 
 def _evolve_alone(s: StateVector, tables: RotationTables, angles, repeat: int) -> StateVector:
-    """One run on a 1-D vector with each weight bound to a 0-d view (numpy
-    would promote a Python scalar on every call) of one array of the run's
-    cos α and one of its sin α·i·i^|x&z|, five numpy calls per string in
-    place through two scratch vectors."""
+    """One run on its own copy of the state with each weight bound to a 0-d
+    view (numpy would promote a Python scalar on every call) of the run's
+    ``_weights``, five numpy calls per string in place through two scratch
+    vectors: gather into ``moved``, the sign times sin α·phase into ``row``,
+    ``row`` into ``moved``, cos α into the state, add ``moved``."""
     psi = s.amplitudes.copy()
-    signed = np.empty_like(psi)
-    kept = np.empty_like(psi)
+    moved = np.empty_like(psi)
+    row = np.empty_like(psi)
     gather_rows, sign_rows = list(tables.gathers), list(tables.signs)
-    cos = np.array(list(map(math.cos, angles)), dtype=complex)
-    sin_phase = np.array(
-        [math.sin(a) * phase for a, phase in zip(angles, tables.factors[1].tolist(), strict=True)],
-        dtype=complex,
-    )
+    cos, sin_phase = _weights(tables, angles)
     step = [
         (gather_rows[x], sign_rows[z], cos[i, ...], sin_phase[i, ...])
         for i, (x, z) in enumerate(zip(tables.x_rows, tables.z_rows))
     ]
-    multiply, add = np.multiply, np.add
+    take, multiply, add = psi.take, np.multiply, np.add
     for _ in range(repeat):
         for gather, sign, cos, sin_phase in step:
-            multiply(sign, psi, signed)
-            moved = signed[gather]
-            multiply(sin_phase, moved, moved)
-            multiply(cos, psi, kept)
-            add(kept, moved, psi)
+            take(gather, None, moved, "clip")
+            multiply(sign, sin_phase, row)
+            multiply(row, moved, moved)
+            multiply(cos, psi, psi)
+            add(psi, moved, psi)
     return StateVector(s.n_qubits, psi)
 
 

@@ -72,11 +72,11 @@ def listed_creation(enc: FockEncoding) -> PauliOp:
     out = PauliOp.zero(enc.qubits_per_mode)
     for n in range(1, enc.capacity + 1):
         src, dst = gray_bits(enc, n - 1), gray_bits(enc, n)
-        factors = [
+        ops = [
             ladder(int(d)) if s != d else projector(int(d)) for s, d in zip(src, dst)
         ]
-        hop = factors[0]
-        for f in factors[1:]:
+        hop = ops[0]
+        for f in ops[1:]:
             hop = listed_tensor(hop, f)
         out = listed_sum(out, listed_scale(hop, math.sqrt(n)))
     return out

@@ -291,7 +291,7 @@ class TestCompiledStep:
 
     def test_tables_hold_one_copy_of_each_mask_row(self):
         # 12,800 strings at 5 qubits per mode share 25 gather rows and 1,022
-        # sign rows (1.7 MB with the factors); a per-string view of each,
+        # sign rows (1.5 MB with the phases); a per-string view of each,
         # kept next to them, held 6.2 MB in all.
         compiled = compile_step(ExperimentConfig(qubits_per_mode=5))
         compiled.terms
@@ -666,8 +666,8 @@ class TestSweepBatch:
 
     def test_batch_cap_bounds_a_sweeps_memory(self, monkeypatch):
         # 288 strings × 64 amplitudes a row at qpm 3: the cap runs 7 rows to a
-        # batch, and tracemalloc peaked at 5.0–5.1 MB for 7 and 256 rows. All
-        # 64 rows in one batch wrote out 38 MB of weights and peaked at 43 MB.
+        # batch, and tracemalloc peaked at 4.7–4.9 MB for 7 and 256 rows. All
+        # 64 rows in one batch wrote out 38 MB of weights and peaked at 40 MB.
         config = ExperimentConfig(qubits_per_mode=3)
 
         def peak(points: int) -> int:

@@ -256,41 +256,20 @@ def hermitian_runs(draw):
     return Interaction(op=op), theta, steps, start
 
 
-def plain_strings(tables, angles):
-    """Each string's gather, int8 sign and Python-scalar cos α and sin α·i·i^|x&z|."""
-    phases = tables.factors[1].tolist()
-    return [
-        (tables.gathers[x], tables.signs[z], math.cos(a), math.sin(a) * phase)
-        for x, z, a, phase in zip(tables.x_rows, tables.z_rows, angles, phases, strict=True)
-    ]
-
-
 def plain_evolve(s, tables, angles, repeat=1):
-    """Reference of the 0-d loop: one fresh vector expression per string,
-    the state signed before its gather."""
+    """Reference of both loops: one fresh vector expression per string,
+    cos α·ψ + (sin α·phase·(−1)^|z&j|)·ψ[j ⊕ x] with Python-scalar weights."""
     psi = s.amplitudes
-    strings = plain_strings(tables, angles)
+    strings = [
+        (tables.gathers[x], tables.signs[z], math.cos(a), math.sin(a) * phase)
+        for x, z, a, phase in zip(
+            tables.x_rows, tables.z_rows, angles, tables.phases.tolist(), strict=True
+        )
+    ]
     for _ in range(repeat):
         for gather, sign, cos, sin_phase in strings:
-            psi = cos * psi + sin_phase * (sign * psi)[gather]
+            psi = cos * psi + (sin_phase * sign) * psi[gather]
     return psi
-
-
-def plain_batch_evolve(s, tables, angles, repeat=1):
-    """Reference of the batch loop: one fresh vector expression per string,
-    the sign read along the gather and folded into the sin weight."""
-    psi = s.amplitudes
-    strings = plain_strings(tables, angles)
-    for _ in range(repeat):
-        for gather, sign, cos, sin_phase in strings:
-            psi = cos * psi + (sin_phase * sign[gather]) * psi[gather]
-    return psi
-
-
-def reference(tables):
-    """The plain expression of the loop ``evolve`` takes on ``tables``."""
-    fits = sv.batch_rows(len(tables.x_rows), tables.n_qubits)
-    return plain_batch_evolve if fits else plain_evolve
 
 
 @st.composite
@@ -309,8 +288,8 @@ def random_state(n, seed):
 
 
 # The real budget runs every drawn run in the three-call batch loop; a budget
-# of 0 sends every run alone to the 0-d loop. Each loop is its own plain
-# expression's bytes.
+# of 0 sends every run alone to the five-call 0-d loop. Each is the one
+# plain expression's bytes.
 BUDGETS = pytest.mark.parametrize("budget", [sv.BATCH_WEIGHTS, 0], ids=["batch", "zero-d"])
 
 
@@ -328,7 +307,7 @@ class TestRotationPass:
                 tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
                 angles = [a for _, a in step]
                 fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
-                plain = reference(tables)(start, tables, angles, steps)
+                plain = plain_evolve(start, tables, angles, steps)
                 assert fast.tobytes() == plain.tobytes()
 
     @BUDGETS
@@ -347,7 +326,7 @@ class TestRotationPass:
             assert start.amplitudes.tobytes() == before
             assert len(batch) == len(runs)
             for (angles, repeat), state in zip(runs, batch):
-                plain = reference(tables)(start, tables, angles, repeat).tobytes()
+                plain = plain_evolve(start, tables, angles, repeat).tobytes()
                 assert state.amplitudes.tobytes() == plain
                 lone = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
                 assert lone.tobytes() == plain
@@ -402,20 +381,34 @@ class TestRotationPass:
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 11)
         alone = sv.evolve(random_state(2, 3), tables, runs)
         assert taken == ["_evolve_alone", "_evolve_alone"]
-        assert all(np.array_equal(a.amplitudes, b.amplitudes) for a, b in zip(alone, batch))
+        assert [s.amplitudes.tobytes() for s in alone] == [s.amplitudes.tobytes() for s in batch]
 
-    def test_loops_differ_only_in_the_sign_of_a_zero(self, monkeypatch):
-        # From a basis start at qpm 3, θ = −1.3 and one step, the batch loop
-        # writes +0 where the 0-d loop writes −0; every amplitude compares
-        # equal and the probabilities keep their bytes.
+    def test_loops_agree_byte_for_byte(self, monkeypatch):
+        # From a basis start at qpm 3, θ = −1.3 and one step, signing ψ
+        # before the gather rather than after it writes −0 for +0: a loop
+        # that did would differ from the other in bytes.
         compiled = compile_step(ExperimentConfig(qubits_per_mode=3))
         start = init_basis(6, compiled.labels[compiled.sector.start])
         runs = [(bind_angles(compiled.terms, -1.3, 1), 1)]
         batch = sv.evolve(start, compiled.tables, runs)[0]
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
         alone = sv.evolve(start, compiled.tables, runs)[0]
-        assert np.array_equal(batch.amplitudes, alone.amplitudes)
-        assert probabilities(batch).tobytes() == probabilities(alone).tobytes()
+        assert alone.amplitudes.tobytes() == batch.amplitudes.tobytes()
+
+    @given(
+        label=st.integers(1, 5).flatmap(lambda w: st.text("IXYZ", min_size=w, max_size=w)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_phase_and_sign_match_the_dense_matrix(self, label, seed):
+        # i·Pψ with the sign (−1)^|x&z| in the phase and (−1)^|z&j| read at j.
+        width = len(label)
+        term = PauliTerm.from_label(1.0, label)
+        tables = sv.rotation_tables(width, [term])
+        psi = random_state(width, seed).amplitudes
+        gather, sign = tables.gathers[tables.x_rows[0]], tables.signs[tables.z_rows[0]]
+        fast = tables.phases[0] * sign * psi[gather]
+        dense = 1j * (PauliOp([term], width=width).to_matrix() @ psi)
+        np.testing.assert_array_equal(fast, dense)
 
     @staticmethod
     def assert_gathers_permute(tables):
@@ -459,7 +452,7 @@ class TestRotationPass:
             angles = bind_angles(compiled.terms, theta, steps)
             for start in starts:
                 fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
-                slow = reference(compiled.tables)(start, compiled.tables, angles, steps)
+                slow = plain_evolve(start, compiled.tables, angles, steps)
                 assert fast.tobytes() == slow.tobytes()
 
     @pytest.mark.parametrize("strings", [0, 1, 32])
