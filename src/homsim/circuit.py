@@ -14,10 +14,11 @@ than ``MAX_ROTATIONS`` rotations are refused there. ``trotter_sequence``
 pairs the two into one step. A ``Circuit`` is that step's distinct gates,
 one index per slot naming the gate that fills it, and a repeat count; the
 register check, the gate counts and the QASM text read the distinct gates
-and the index, and only the depth walk reads the written-out step. A
-circuit's ``StepProfile`` is the one metrics path: it walks the step for
-up to n repeats and past that composes the step's per-qubit max-plus
-delays; each part is built on first need and kept.
+and the index, and only the depth walk reads the written-out step. The
+circuit's ``metrics(repeat)`` is the one metrics path, for any repeat: it
+walks the step for up to n repeats and past that composes the step's
+per-qubit max-plus delays; each part is built on first need and kept on
+the circuit.
 ``trotter_circuit`` reads each term's X, Y and active qubits from its
 ``PauliTerm.xz`` masks, never from axes text or the code's digits. Within
 one call the CNOT ladder and last qubit of each active mask and the basis
@@ -34,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -75,48 +76,34 @@ class Gate:
             raise ValueError(f"{self.kind} takes no angle")
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@dataclass(frozen=True, eq=False)
 class Circuit:
-    """``step`` applied ``repeat`` times in a row on a register of ``n_qubits``.
+    """A step of gates applied ``repeat`` times in a row on a register of ``n_qubits``.
 
-    Held as the step's ``distinct`` gates and its ``index``, one integer per
-    slot naming the gate that fills it; ``Circuit(n_qubits, step, repeat)``
-    indexes a written-out step by object identity, and ``trotter_circuit``
-    hands over the index it emitted. The register check, the counts and the
-    QASM text read only these; ``step`` is the written-out view, built from
-    the index on first need and kept. Equal, and hashed, by ``n_qubits``,
-    ``step`` and ``repeat``, so another step/repeat split is another circuit
-    and equal gates in separate objects index apart yet compare alike.
+    The step is held as its ``distinct`` gates and its ``index``, one integer
+    per slot naming the gate that fills it; ``trotter_circuit`` emits both,
+    and ``Circuit(n, gates, range(len(gates)))`` gives each slot its own
+    entry. The register check, the counts and the QASM text read only these;
+    ``step`` is the written-out view, built from the index on first need and
+    kept. Equal, and hashed, by ``n_qubits``, ``step`` and ``repeat``, so
+    another step/repeat split is another circuit and equal gates in separate
+    objects index apart yet compare alike. ``metrics(repeat)`` profiles the
+    step at any repeat, the circuit's own or not.
     """
 
     n_qubits: int
     distinct: tuple[Gate, ...]
-    index: list[int]
-    repeat: int
+    index: Sequence[int]
+    repeat: int = 1
 
-    def __init__(self, n_qubits: int, step: Sequence[Gate], repeat: int = 1):
-        step = tuple(step)
-        ids = list(map(id, step))
-        first = dict(zip(ids, step))  # id -> gate, in order of first slot
-        slot = {key: i for i, key in enumerate(first)}
-        self._hold(n_qubits, tuple(first.values()), list(map(slot.__getitem__, ids)), repeat)
-        self.__dict__["step"] = step
-
-    @classmethod
-    def _indexed(cls, n_qubits: int, distinct: tuple[Gate, ...], index: list[int], repeat: int):
-        c = cls.__new__(cls)
-        c._hold(n_qubits, distinct, index, repeat)
-        return c
-
-    def _hold(self, n_qubits, distinct, index, repeat) -> None:
-        if repeat < 1:
+    def __post_init__(self):
+        if self.repeat < 1:
             raise ValueError("repeat must be >= 1")
-        n = n_qubits
-        for g in distinct:
+        n = self.n_qubits
+        for g in self.distinct:
             c = g.control
             if not 0 <= g.target < n or (c is not None and not 0 <= c < n):
                 raise ValueError(f"gate {g} outside register of {n}")
-        self.__dict__.update(n_qubits=n, distinct=distinct, index=index, repeat=repeat)
 
     @cached_property
     def step(self) -> tuple[Gate, ...]:
@@ -139,6 +126,44 @@ class Circuit:
             kinds[g.kind] += k
         return kinds
 
+    @cached_property
+    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        return _delays(self.step, self.n_qubits)
+
+    @cached_property
+    def _busy(self) -> dict[int, list[int]]:
+        return {}
+
+    def metrics(self, repeat: int) -> dict:
+        """Depth, CX count, per-kind and total gate counts of ``repeat`` steps.
+
+        Depth is greedy layering, disjoint qubits commuting; the counts are
+        ``kinds``. A repeat resumes from the deepest busy vector kept below
+        it: up to ``n_qubits`` it walks the written-out step from there, past
+        that it composes the delay rows, which take ``n_qubits`` walks to
+        build. The circuit's own repeat is not read.
+        """
+        if repeat < 1:
+            raise ValueError("repeat must be >= 1")
+        kept = self._busy
+        busy = kept.get(repeat)
+        if busy is None:
+            done = max((r for r in kept if r < repeat), default=0)
+            busy = kept.get(done, [0] * self.n_qubits)[:]
+            for _ in range(repeat - done):
+                if repeat <= self.n_qubits:
+                    _layer(self.step, busy)
+                else:
+                    busy = [max(busy[j] + d for j, d in row) for row in self._rows]
+            kept[repeat] = busy
+        kinds = self.kinds
+        return {
+            "depth": max(busy, default=0),
+            "cx_count": kinds["CNOT"] * repeat,
+            "gate_counts": {k: v * repeat for k, v in sorted(kinds.items())},
+            "total_gates": sum(kinds.values()) * repeat,
+        }
+
     def __eq__(self, other):
         if not isinstance(other, Circuit):
             return NotImplemented
@@ -148,7 +173,7 @@ class Circuit:
         return hash((self.n_qubits, self.step, self.repeat))
 
 
-def _gather(table: Sequence, index: list[int]) -> tuple:
+def _gather(table: Sequence, index: Sequence[int]) -> tuple:
     """``table[i]`` for each ``i`` of ``index``, as a tuple."""
     if len(index) < 2:
         return tuple(table[i] for i in index)
@@ -279,7 +304,7 @@ def trotter_circuit(
         index.append(gate("RZ", last, None, -2 * angle))
         index += back
         index += basis[1]
-    return Circuit._indexed(n, tuple(table), index, steps)
+    return Circuit(n, tuple(table), index, steps)
 
 
 def _layer(gates: Sequence[Gate], busy: list[int]) -> list[int]:
@@ -314,53 +339,9 @@ def _delays(step: Sequence[Gate], n: int) -> tuple[tuple[tuple[int, int], ...], 
     return tuple(tuple(row) for row in rows)
 
 
-@dataclass(frozen=True)
-class StepProfile:
-    """The metrics of ``circuit``'s step repeated any number of times.
-
-    Depth is greedy layering, disjoint qubits commuting; the counts are the
-    circuit's ``kinds``, read off its distinct gates and index. Each part is
-    built on first need and kept: the step's max-plus delay rows and the
-    per-qubit busy vector of each repeat asked for. A repeat resumes from
-    the deepest busy vector kept below it: up to n_qubits it walks the
-    written-out step from there, past that it composes the delay rows, which
-    take n_qubits walks to build. The circuit's own repeat is not read.
-    """
-
-    circuit: Circuit
-    _busy: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        return _delays(self.circuit.step, self.circuit.n_qubits)
-
-    def metrics(self, repeat: int) -> dict:
-        """Depth, CX count, per-kind and total gate counts of ``repeat`` steps."""
-        if repeat < 1:
-            raise ValueError("repeat must be >= 1")
-        c, kept = self.circuit, self._busy
-        busy = kept.get(repeat)
-        if busy is None:
-            done = max((r for r in kept if r < repeat), default=0)
-            busy = kept.get(done, [0] * c.n_qubits)[:]
-            for _ in range(repeat - done):
-                if repeat <= c.n_qubits:
-                    _layer(c.step, busy)
-                else:
-                    busy = [max(busy[j] + d for j, d in row) for row in self._rows]
-            kept[repeat] = busy
-        kinds = c.kinds
-        return {
-            "depth": max(busy, default=0),
-            "cx_count": kinds["CNOT"] * repeat,
-            "gate_counts": {k: v * repeat for k, v in sorted(kinds.items())},
-            "total_gates": sum(kinds.values()) * repeat,
-        }
-
-
 def metrics(c: Circuit) -> dict:
     """Depth (greedy layering, disjoint qubits commute), CX count, per-kind counts."""
-    return StepProfile(c).metrics(c.repeat)
+    return c.metrics(c.repeat)
 
 
 def export_qasm(c: Circuit) -> str:

@@ -70,6 +70,14 @@ MAX_SHOTS = 2 ** 63 - 1
 MAX_POINTS = 4096
 
 
+def _finite(x) -> bool:
+    """``math.isfinite``, an int too large for a float counting as not finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     theta: float = math.pi / 4
@@ -94,7 +102,7 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if not 1 <= self.qubits_per_mode <= MAX_QUBITS_PER_MODE:
             raise ValueError(f"qubits_per_mode must be in [1, {MAX_QUBITS_PER_MODE}]")
-        if not math.isfinite(self.theta):
+        if not _finite(self.theta):
             raise ValueError("theta must be finite")
         if self.exact and (self.reduced or self.trotter_steps != 1):
             raise ValueError("steps and reduced shape the circuit; an exact run takes neither")
@@ -136,7 +144,7 @@ class CompiledStep:
     Each θ-free part is built from the key on first need and kept: the
     input's ``Sector``, the register's bitstring labels in index order, the
     step's terms with their real coefficients, the rotation pass's tables
-    and the ``StepProfile`` of the step's circuit. So an exact run never
+    and the step's circuit as its metrics ``profile``. So an exact run never
     builds H, a circuit report never builds the sector, and a run whose
     angles are refused builds neither tables nor gates. ``compile_step``
     keeps the last step it compiled, so the runs of one key share it: each
@@ -169,9 +177,9 @@ class CompiledStep:
         return sv.rotation_tables(2 * self.qubits_per_mode, [term for term, _ in self.terms])
 
     @cached_property
-    def profile(self) -> circ.StepProfile:
-        # At θ = 1 and one step each angle is its coefficient; the profile reads no angle.
-        return circ.StepProfile(self.circuit(1.0, 1))
+    def profile(self) -> circ.Circuit:
+        # At θ = 1 and one step each angle is its coefficient; metrics read no angle.
+        return self.circuit(1.0, 1)
 
     @cached_property
     def pending(self) -> dict[ExperimentConfig, tuple[sv.StateVector, sv.StateVector]]:
@@ -235,12 +243,15 @@ def run_hom(config: ExperimentConfig) -> ExperimentReport:
 
 def _row_values(values: Sequence, name: str, integral: bool = False) -> list:
     """A sweep's row values as ints (``integral``) or floats, refusing an
-    empty sweep, a bool, a non-number and a fractional step count."""
+    empty sweep, a bool, a non-number, a fractional step count and an angle
+    that is not finite."""
     if len(values) == 0:
         raise ValueError(f"{name} must be non-empty")
     for v in values:
         if isinstance(v, bool) or not isinstance(v, numbers.Real) or (integral and v % 1 != 0):
             raise ValueError(f"{name} takes {'whole ' if integral else ''}numbers, got {v!r}")
+        if not (integral or _finite(v)):
+            raise ValueError(f"{name} takes finite numbers, got {v!r}")
     return [int(v) if integral else float(v) for v in values]
 
 
@@ -336,6 +347,6 @@ def theta_grid(points: int, stop: float = math.pi / 2) -> list[float]:
         raise ValueError(f"points must be int, got {points!r}")
     if not 1 <= points <= MAX_POINTS:
         raise ValueError(f"points must be in [1, {MAX_POINTS}]")
-    if not math.isfinite(stop):
+    if not _finite(stop):
         raise ValueError("stop must be finite")
     return [float(t) for t in np.linspace(0.0, stop, points)]

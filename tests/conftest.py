@@ -296,16 +296,21 @@ def walked_sample(s: StateVector, shots: int, seed: int) -> Histogram:
     return Histogram(counts=dict(sorted(counts.items())), shots=shots)
 
 
+def circuit_of(n_qubits: int, gates, repeat: int = 1) -> Circuit:
+    """``gates`` repeated ``repeat`` times, every slot its own entry of the gate table."""
+    return Circuit(n_qubits, tuple(gates), range(len(gates)), repeat)
+
+
 def apply_gate(s: StateVector, g: Gate) -> StateVector:
     """One gate on a state; its one-gate circuit checks it against the register."""
-    return apply_circuit(s, Circuit(s.n_qubits, (g,)))
+    return apply_circuit(s, circuit_of(s.n_qubits, (g,)))
 
 
-def layered_metrics(c: Circuit) -> dict:
-    """Reference ``metrics``: greedy layering gate by gate over the written-out sequence."""
-    busy = [0] * c.n_qubits
+def layered_metrics(n_qubits: int, gates) -> dict:
+    """Reference ``metrics``: greedy layering gate by gate over a written-out sequence."""
+    busy = [0] * n_qubits
     kind_counts: dict[str, int] = {}
-    for g in c.gates:
+    for g in gates:
         qubits = (g.target,) if g.control is None else (g.control, g.target)
         layer = 1 + max(busy[q] for q in qubits)
         for q in qubits:
@@ -315,5 +320,5 @@ def layered_metrics(c: Circuit) -> dict:
         "depth": max(busy, default=0),
         "cx_count": kind_counts.get("CNOT", 0),
         "gate_counts": dict(sorted(kind_counts.items())),
-        "total_gates": len(c.gates),
+        "total_gates": len(gates),
     }

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     apply_gate,
+    circuit_of,
     hand_reduced_q2,
     layered_metrics,
     pauli_exp,
@@ -22,7 +23,6 @@ from homsim.circuit import (
     MAX_ROTATIONS,
     Circuit,
     Gate,
-    StepProfile,
     bind_angles,
     export_qasm,
     metrics,
@@ -50,7 +50,7 @@ class TestGateValidation:
 
     def test_gate_outside_register(self):
         with pytest.raises(ValueError):
-            Circuit(2, (Gate("H", 2),))
+            circuit_of(2, (Gate("H", 2),))
 
     @pytest.mark.parametrize(
         "gate",
@@ -64,7 +64,7 @@ class TestGateValidation:
     )
     def test_control_or_negative_qubit_outside_register(self, gate):
         with pytest.raises(ValueError, match="outside register of 2"):
-            Circuit(2, (Gate("H", 0), gate))
+            circuit_of(2, (Gate("H", 0), gate))
 
     # Every width but the register's is refused, identity digits or not.
     @pytest.mark.parametrize("axes", ["ZIZ", "IZZ", "ZZI", "Z"])
@@ -79,11 +79,11 @@ class TestGateValidation:
 
     def test_gate_outside_register_in_repeated_step(self):
         with pytest.raises(ValueError, match="outside register of 2"):
-            Circuit(2, (Gate("H", 0), Gate("CNOT", target=2, control=1)), 5)
+            circuit_of(2, (Gate("H", 0), Gate("CNOT", target=2, control=1)), 5)
 
     def test_repeat_below_one_rejected(self):
         with pytest.raises(ValueError, match="repeat"):
-            Circuit(1, (Gate("H", 0),), 0)
+            circuit_of(1, (Gate("H", 0),), 0)
 
 
 OFF_WIDTH = [
@@ -127,27 +127,27 @@ def repeated_circuits(draw, max_qubits=6, max_gates=30, max_repeat=70):
     """1-6 qubits, a step of 0-30 gates, 1-70 repeats."""
     n = draw(st.integers(1, max_qubits))
     step = draw(st.lists(gates(n), max_size=max_gates))
-    return Circuit(n, tuple(step), draw(st.integers(1, max_repeat)))
+    return circuit_of(n, step, draw(st.integers(1, max_repeat)))
 
 
 class TestRepeatedCircuit:
     def test_gates_write_out_every_repeat(self):
         step = (Gate("H", 0), Gate("CNOT", target=1, control=0))
-        assert Circuit(2, step, 3).gates == step * 3
+        assert circuit_of(2, step, 3).gates == step * 3
 
     def test_equal_when_the_fields_are(self):
         h = Gate("H", 0)
-        assert Circuit(1, (h, h), 2) == Circuit(1, (Gate("H", 0),) * 2, 2)
-        assert hash(Circuit(1, (h, h), 2)) == hash(Circuit(1, (Gate("H", 0),) * 2, 2))
-        assert Circuit(1, (h, h)) != Circuit(1, (h,), 2)
-        assert Circuit(1, (), 4) != Circuit(1, ())
-        assert Circuit(1, (h,), 2) != Circuit(1, (h,), 3)
-        assert Circuit(1, (h,)) != Circuit(2, (h,))
+        assert Circuit(1, (h,), [0, 0], 2) == circuit_of(1, (Gate("H", 0),) * 2, 2)
+        assert hash(Circuit(1, (h,), [0, 0], 2)) == hash(circuit_of(1, (Gate("H", 0),) * 2, 2))
+        assert circuit_of(1, (h, h)) != circuit_of(1, (h,), 2)
+        assert circuit_of(1, (), 4) != circuit_of(1, ())
+        assert circuit_of(1, (h,), 2) != circuit_of(1, (h,), 3)
+        assert circuit_of(1, (h,)) != circuit_of(2, (h,))
 
     @settings(deadline=None)
     @given(repeated_circuits())
     def test_metrics_match_gate_by_gate_layering(self, c):
-        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+        assert metrics(c) == layered_metrics(c.n_qubits, c.gates)
 
     @pytest.mark.parametrize("qpm", [1, 2, 3])
     @pytest.mark.parametrize("reduced", [False, True])
@@ -157,7 +157,7 @@ class TestRepeatedCircuit:
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         c = synthesize(inter, 0.7, steps)
         assert c.repeat == steps
-        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+        assert metrics(c) == layered_metrics(c.n_qubits, c.gates)
 
     @settings(deadline=None, max_examples=25)
     @given(repeated_circuits(max_qubits=4, max_gates=12, max_repeat=8))
@@ -169,8 +169,8 @@ class TestRepeatedCircuit:
 
     def test_qasm_repeats_the_step_text(self):
         step = (Gate("RX", 1, angle=0.25), Gate("CNOT", target=0, control=1))
-        text = export_qasm(Circuit(2, step, 4))
-        assert text == export_qasm(Circuit(2, step * 4))
+        text = export_qasm(circuit_of(2, step, 4))
+        assert text == export_qasm(circuit_of(2, step * 4))
 
 
 class TestTrotterSequence:
@@ -438,7 +438,7 @@ class TestSharedGates:
 
 class TestMetrics:
     def test_single_gate(self):
-        m = metrics(Circuit(1, (Gate("H", 0),)))
+        m = metrics(circuit_of(1, (Gate("H", 0),)))
         assert m["depth"] == 1 and m["cx_count"] == 0
 
     def test_xy_rotation_has_two_cnots(self):
@@ -468,47 +468,45 @@ class TestMetrics:
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
-    def test_step_profile_matches_the_walks(self, qpm, reduced):
-        # One profile for every repeat: up to n it walks the step, past n it
-        # composes the delay rows it built at n + 1; a second pass reads the
-        # depths it kept.
+    def test_circuit_metrics_match_the_walks(self, qpm, reduced):
+        # One circuit profiles every repeat: up to n it walks the step, past
+        # n it composes the delay rows it built at n + 1; a second pass reads
+        # the depths it kept.
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         n = 2 * qpm
         c = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1)
-        step = c.step
-        profile = StepProfile(c)
         repeats = range(1, 2 * n + 2)
-        want = [layered_metrics(Circuit(n, step * r)) for r in repeats]
+        want = [layered_metrics(n, c.step * r) for r in repeats]
         for _ in range(2):
-            assert [profile.metrics(r) for r in repeats] == want
+            assert [c.metrics(r) for r in repeats] == want
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [2, 3])
-    def test_step_profile_resumes_from_the_deepest_composed_repeat(
+    def test_circuit_metrics_resume_from_the_deepest_composed_repeat(
         self, monkeypatch, qpm, reduced
     ):
-        # Out of order and past n: each depth is a fresh profile's and the
+        # Out of order and past n: each depth is a fresh circuit's and the
         # plain walk's, whichever kept repeat it resumed from. The second
         # order walks first; its 3 resumes from the walked 2.
         enc = FockEncoding(qpm)
         inter = reduced_interaction(enc, 2) if reduced else interaction(enc)
         n = 2 * qpm
-        c = trotter_circuit(trotter_sequence(inter, 0.7, 1), n, 1)
-        step = c.step
+        sequence = trotter_sequence(inter, 0.7, 1)
+        step = trotter_circuit(sequence, n, 1).step
         busy, walked = [0] * n, {}
         for r in range(1, 101):
             walked[r] = max(circuit._layer(step, busy))
         # Walks past building the n-walk delay rows: 64, 8, 100, 17 and 16
         # compose, 3 walks three steps; 1, 2, 4 and 3 walk 1 + 1 + 2 + 1.
         for repeats, walks in [([64, 8, 100, 3, 17, 16], 3), ([1, 2, 4, 8, 3], 5)]:
-            fresh = [StepProfile(c).metrics(r) for r in repeats]
+            fresh = [trotter_circuit(sequence, n, 1).metrics(r) for r in repeats]
+            c = trotter_circuit(sequence, n, 1)
             calls, layers = [], []
             delays, layer = circuit._delays, circuit._layer
             monkeypatch.setattr(circuit, "_delays", lambda *a: calls.append(1) or delays(*a))
             monkeypatch.setattr(circuit, "_layer", lambda *a: layers.append(1) or layer(*a))
-            profile = StepProfile(c)
-            got = [profile.metrics(r) for r in repeats]
+            got = [c.metrics(r) for r in repeats]
             monkeypatch.undo()
             assert got == fresh
             assert [m["depth"] for m in fresh] == [walked[r] for r in repeats]
@@ -516,17 +514,31 @@ class TestMetrics:
             assert len(layers) == n + walks
             # The written-out oracle, where it is cheap.
             for r, m in zip(repeats, got):
-                assert r > 8 or m == layered_metrics(Circuit(n, step * r))
+                assert r > 8 or m == layered_metrics(n, step * r)
 
-    def test_step_profile_refuses_repeat_below_one(self):
-        profile = StepProfile(rotation_circuit("XY", 0.3))
+    @pytest.mark.parametrize("past_n", [False, True], ids=["own-1", "own-2n+1"])
+    @pytest.mark.parametrize("qpm", [1, 2])
+    def test_own_and_other_repeats_interleave(self, qpm, past_n):
+        # metrics(c) and c.metrics(r) keep their busy vectors on c alike; each
+        # answer is a fresh circuit's and the written-out walk's, whatever
+        # was asked of c before.
+        n = 2 * qpm
+        sequence = trotter_sequence(interaction(FockEncoding(qpm)), 0.7, 1)
+        c = trotter_circuit(sequence, n, 2 * n + 1 if past_n else 1)
+        own = layered_metrics(n, c.gates)
+        for r in (1, 2, n, n + 1, 3 * n):
+            assert metrics(c) == metrics(trotter_circuit(sequence, n, c.repeat)) == own
+            want = layered_metrics(n, c.step * r)
+            assert c.metrics(r) == metrics(trotter_circuit(sequence, n, r)) == want
+
+    def test_circuit_metrics_refuse_repeat_below_one(self):
         with pytest.raises(ValueError, match="repeat must be >= 1"):
-            profile.metrics(0)
+            rotation_circuit("XY", 0.3).metrics(0)
 
     def test_reduced_at_capacity_one_is_empty(self):
         # |1,1> has no partner in the 2-photon sector when a mode holds one photon.
         c = synthesize(reduced_interaction(FockEncoding(1), 2), 0.7, 3)
-        assert c == Circuit(2, (), 3)
+        assert c == circuit_of(2, (), 3)
 
 
 INDEX_CASES = [
@@ -551,65 +563,65 @@ class TestGateIndex:
         ids=[f"q{q}-{'reduced' if r else 'full'}-{t!r}-{k}" for q, r, t, k in INDEX_CASES],
     )
     def test_emitted_index_is_the_written_out_steps(self, qpm, reduced, theta, steps):
-        # The index the emitter hands over and the one the constructor builds
-        # from the written-out step by identity agree on everything they feed.
+        # The emitted table and index, one entry per distinct gate, and the
+        # written-out step, one entry per slot, agree on everything they feed.
         c = synthesize(_hamiltonian(qpm, reduced), theta, steps)
-        again = Circuit(c.n_qubits, c.step, c.repeat)
+        again = Circuit(c.n_qubits, c.step, range(len(c.step)), c.repeat)
         assert again.step == c.step and again == c and hash(again) == hash(c)
-        assert len(again.distinct) == len(c.distinct) == len({id(g) for g in c.step})
+        assert len(c.distinct) == len({id(g) for g in c.step})
         assert metrics(again) == metrics(c)
         assert export_qasm(again) == export_qasm(c)
 
     @pytest.mark.parametrize("qpm", [1, 2, 3])
     def test_emitted_metrics_match_the_walk(self, qpm):
         c = synthesize(_hamiltonian(qpm, False), -0.0, 3)
-        assert metrics(c) == layered_metrics(Circuit(c.n_qubits, c.gates))
+        assert metrics(c) == layered_metrics(c.n_qubits, c.gates)
 
     def test_shared_and_separate_gate_objects_count_and_print_alike(self):
         h, cx = Gate("H", 0), Gate("CNOT", target=1, control=0)
         rz = Gate("RZ", 1, angle=-0.0)
-        shared = Circuit(2, (h, cx, rz, cx, h), 2)
-        separate = Circuit(
+        shared = Circuit(2, (h, cx, rz), [0, 1, 2, 1, 0], 2)
+        separate = circuit_of(
             2,
             (Gate("H", 0), Gate("CNOT", target=1, control=0), Gate("RZ", 1, angle=-0.0),
              Gate("CNOT", target=1, control=0), Gate("H", 0)),
             2,
         )
         assert shared.distinct == (h, cx, rz) and shared.index == [0, 1, 2, 1, 0]
-        assert len(separate.distinct) == 5 and separate.index == [0, 1, 2, 3, 4]
+        assert len(separate.distinct) == 5 and list(separate.index) == [0, 1, 2, 3, 4]
         assert shared == separate and hash(shared) == hash(separate)
-        want = layered_metrics(Circuit(2, shared.gates))
+        want = layered_metrics(2, shared.gates)
         assert want["gate_counts"] == {"CNOT": 4, "H": 4, "RZ": 2}
         assert metrics(shared) == metrics(separate) == want
-        profiles = [StepProfile(c) for c in (shared, separate)]
-        assert [p.metrics(2) for p in profiles] == [want, want]
+        thrice = layered_metrics(2, shared.step * 3)
+        assert shared.metrics(3) == separate.metrics(3) == thrice
         body = "h q[0];\ncx q[0],q[1];\nrz(-0) q[1];\ncx q[0],q[1];\nh q[0];\n"
         header = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
         assert export_qasm(shared) == export_qasm(separate) == header + body * 2
 
     def test_one_gate_step_and_empty_step(self):
         h = Gate("H", 0)
-        one = Circuit(1, (h,), 3)
-        assert one.step == (h,) and one.index == [0]
+        one = circuit_of(1, (h,), 3)
+        assert one.step == (h,) and list(one.index) == [0]
         assert export_qasm(one).count("h q[0];") == 3
-        empty = Circuit(1, ())
-        assert empty.step == () and empty.distinct == () and empty.index == []
+        empty = circuit_of(1, ())
+        assert empty.step == () and empty.distinct == () and list(empty.index) == []
         assert metrics(empty) == {"depth": 0, "cx_count": 0, "gate_counts": {}, "total_gates": 0}
 
     def test_register_check_reports_the_first_slot_outside(self):
-        # Each distinct gate is checked once, in order of its first slot.
+        # Each distinct gate is checked once, in table order.
         inside, outside = Gate("H", 0), Gate("H", 3)
         with pytest.raises(ValueError, match=r"^gate Gate\(kind='H', target=3"):
-            Circuit(2, (inside, outside, inside, Gate("H", 4), outside))
+            Circuit(2, (inside, outside, Gate("H", 4)), [0, 1, 0, 2, 1])
 
 
 class TestQasmExport:
     def test_single_h(self):
-        text = export_qasm(Circuit(1, (Gate("H", 0),)))
+        text = export_qasm(circuit_of(1, (Gate("H", 0),)))
         assert text.count("h q[0];") == 1
 
     def test_empty_circuit_is_header_only(self):
-        text = export_qasm(Circuit(3, ()))
+        text = export_qasm(circuit_of(3, ()))
         assert text == 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[3];\n'
 
     def test_line_count_matches_gate_count(self):
@@ -682,5 +694,5 @@ class TestQasmExport:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_angle_formatting(self):
-        text = export_qasm(Circuit(1, (Gate("RZ", 0, angle=math.pi),)))
+        text = export_qasm(circuit_of(1, (Gate("RZ", 0, angle=math.pi),)))
         assert "rz(3.14159265358979) q[0];" in text

@@ -200,6 +200,24 @@ class TestRunHom:
         with pytest.raises(ValueError):
             replace(valid, **bad)
 
+    @pytest.mark.parametrize(
+        "refused, message",
+        [
+            (lambda: ExperimentConfig(theta=10**400), "^theta must be finite$"),
+            (
+                lambda: sweep_theta(ExperimentConfig(), [10**400]),
+                "^theta_grid takes finite numbers, got ",
+            ),
+            (lambda: theta_grid(3, 10**400), "^stop must be finite$"),
+        ],
+        ids=["config", "sweep-row", "grid-stop"],
+    )
+    def test_int_too_large_for_a_float_refused_by_name(self, refused, message):
+        # math.isfinite and float() raise OverflowError on such an int; the
+        # CLI maps only ValueError to a usage error.
+        with pytest.raises(ValueError, match=message):
+            refused()
+
     def test_most_shots_numpy_draws(self):
         # multinomial counts in a C long: 2**63 - 1 shots draw, 2**63 overflow.
         report = run_hom(ExperimentConfig(exact=True, shots=MAX_SHOTS))

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats
 
-from conftest import apply_gate, givens_product, walked_sample
+from conftest import apply_gate, circuit_of, givens_product, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
-from homsim.circuit import Circuit, Gate, bind_angles, step_terms, synthesize, trotter_sequence
+from homsim.circuit import Gate, bind_angles, step_terms, synthesize, trotter_sequence
 from homsim.experiments import ExperimentConfig, compile_step
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm, _action
@@ -76,7 +76,7 @@ def random_circuit(rng, n_qubits, n_gates):
                               angle=float(rng.uniform(-math.pi, math.pi))))
         elif kind != "CNOT":
             gates.append(Gate(kind, int(rng.integers(n_qubits))))
-    return Circuit(n_qubits, tuple(gates))
+    return circuit_of(n_qubits, gates)
 
 
 class TestNormCheck:
@@ -505,7 +505,7 @@ class TestRotationPass:
         with pytest.raises(ValueError, match="capped at 3 qubits") as fast:
             sv.rotation_tables(4, [PauliTerm.from_label(1.0, "XIII")])
         with pytest.raises(ValueError) as gates:
-            apply_circuit(s, Circuit(4, (Gate("H", 0),)))
+            apply_circuit(s, circuit_of(4, (Gate("H", 0),)))
         assert str(fast.value) == str(gates.value)
 
     def test_memory_does_not_grow_with_string_count(self):
