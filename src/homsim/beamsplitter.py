@@ -25,6 +25,14 @@ from .gray import FockEncoding, basis_index, creation_op, hop_term
 from .pauli import PauliOp
 
 
+def _finite(x) -> bool:
+    """``math.isfinite``, an int too large for a float counting as not finite."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Interaction:
     """Hermitian two-mode hopping Hamiltonian over 2*N_q qubits."""
@@ -78,7 +86,7 @@ def reduced_interaction(encoding: FockEncoding, photons: int) -> Interaction:
 
 def exact_unitary(theta: float, inter: Interaction) -> np.ndarray:
     """exp(+iθH) via Hermitian eigendecomposition; unitary to 1e-12."""
-    if not math.isfinite(theta):
+    if not _finite(theta):
         raise ValueError("theta must be finite")
     h = inter.op.to_matrix()
     w, v = np.linalg.eigh(h)
@@ -105,12 +113,12 @@ class Sector:
     def amplitudes(self, theta: float) -> np.ndarray:
         """Register amplitudes of exp(+iθH) on the input; zero outside the sector.
 
-        A θ whose phases θ·w are not finite (NaN, ±inf, or an overflowing
-        product) is a ``ValueError``.
+        A θ whose phases θ·w are not finite (NaN, ±inf, an int too large
+        for a float, or an overflowing product) is a ``ValueError``.
         """
         w = self.w
         # w ascends, so its ends bound every |θ·w|; a float product never warns.
-        if not math.isfinite(theta * max(-float(w[0]), float(w[-1]))):
+        if not (_finite(theta) and math.isfinite(theta * max(-float(w[0]), float(w[-1])))):
             raise ValueError(f"theta = {theta!r}: the phases exp(i·theta·w) are not finite")
         out = np.zeros(2 ** self.n_qubits, dtype=complex)
         out[self.rows] = self.v @ (np.exp(1j * theta * w) * self.column)

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .beamsplitter import Interaction
+from .beamsplitter import Interaction, _finite
 from .pauli import PauliTerm
 
 logger = logging.getLogger(__name__)
@@ -70,7 +70,7 @@ class Gate:
         elif self.control is not None:
             raise ValueError(f"{self.kind} takes no control")
         if self.kind in ("RX", "RZ"):
-            if self.angle is None or not math.isfinite(self.angle):
+            if self.angle is None or not _finite(self.angle):
                 raise ValueError(f"{self.kind} needs a finite angle")
         elif self.angle is not None:
             raise ValueError(f"{self.kind} takes no angle")
@@ -208,13 +208,14 @@ def bind_angles(
         raise ValueError(
             f"steps = {steps} times {len(step)} terms is more than {MAX_ROTATIONS} rotations"
         )
-    angles = [theta * coeff / steps for _, coeff in step]
-    if not all(math.isfinite(2 * a) for a in angles):
-        raise ValueError(
-            f"theta = {theta!r}, steps = {steps}: "
-            "a circuit angle 2·theta·coeff/steps is not finite"
-        )
-    return angles
+    if _finite(theta):
+        angles = [theta * coeff / steps for _, coeff in step]
+        if all(math.isfinite(2 * a) for a in angles):
+            return angles
+    raise ValueError(
+        f"theta = {theta!r}, steps = {steps}: "
+        "a circuit angle 2·theta·coeff/steps is not finite"
+    )
 
 
 def trotter_sequence(

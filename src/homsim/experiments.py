@@ -18,10 +18,11 @@ key share the last step compiled, so a sweep or a repeated run builds each
 part once and the process holds one step at a time; the circuit report
 emits from one step per H. A sweep calls ``run_hom`` once per row, the one
 place a report is built, but evolves its circuit rows ahead in batches of
-one rotation pass each, as many rows as ``statevector.batch_rows`` lets
-the pass run in its batch loop (one from 4 qubits per mode up): the step
-keeps each row's exact and evolved states, by the row's config, until that
-row's run takes them.
+one rotation pass each, as many rows as ``statevector.batch_rows`` of the
+step's rotation tables lets the pass run in its batch loop (one from 4
+qubits per mode up), so only the tables size a batch: the step keeps each
+row's exact and evolved states, by the row's config, until that row's run
+takes them.
 Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import circuit as circ
 from . import statevector as sv
-from .beamsplitter import Sector, fock_sector, interaction, reduced_interaction
+from .beamsplitter import Sector, _finite, fock_sector, interaction, reduced_interaction
 from .gray import FockEncoding
 from .pauli import PauliTerm
 
@@ -68,14 +69,6 @@ MAX_SHOTS = 2 ** 63 - 1
 # The most angles one theta grid holds: at 6 qubits per mode an exact sweep over
 # them takes 2.2 s, a circuit sweep 2.1 s a row (one BLAS thread, 2-core host).
 MAX_POINTS = 4096
-
-
-def _finite(x) -> bool:
-    """``math.isfinite``, an int too large for a float counting as not finite."""
-    try:
-        return math.isfinite(x)
-    except OverflowError:
-        return False
 
 
 @dataclass(frozen=True)
@@ -260,10 +253,10 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
     and row i seeded ``seed + i``, in order, one report at a time.
 
     Circuit rows are evolved ahead in batches of ``statevector.batch_rows``
-    rows (at least one), their states kept on the step until each row's run
-    takes its own. The row with the most steps is bound first, so a row over
-    the rotation cap is refused before any row runs, and no state is left
-    kept, refused or not.
+    of the step's tables (at least one row), their states kept on the step
+    until each row's run takes its own. The row with the most steps is bound
+    first, so a row over the rotation cap is refused before the tables are
+    built or any row runs, and no state is left kept, refused or not.
     """
     configs = [replace(config, **{name: v}, seed=config.seed + i) for i, v in enumerate(values)]
     if config.exact:
@@ -272,7 +265,7 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
     compiled = compile_step(config)
     longest = max(configs, key=lambda c: c.trotter_steps)
     circ.bind_angles(compiled.terms, longest.theta, longest.trotter_steps)
-    size = max(1, sv.batch_rows(len(compiled.terms), 2 * compiled.qubits_per_mode))
+    size = max(1, sv.batch_rows(compiled.tables))
     try:
         for i in range(0, len(configs), size):
             batch = configs[i : i + size]

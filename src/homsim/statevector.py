@@ -6,12 +6,13 @@ vector operations per term, and repeats the step: ``rotation_tables``
 builds one gather index per x mask, one sign vector per z mask and each
 string's phase, none of which depend on the angles, and ``evolve`` binds
 runs to them, each a set of angles and a repeat count, so a sweep builds
-the tables once. When one row fits ``batch_rows``, the one reading of the
-``BATCH_WEIGHTS`` budget, it runs them in batches of that many rows in
-place, three numpy calls per rotation for all rows still running; a lone
-run is a batch of one. Otherwise each run takes a loop of five calls with
-0-d weights. Both loops compute one formula from one binding of the
-weights, so every row is bit for bit its lone run in either loop.
+the tables once. When one row fits ``batch_rows``, read off the tables,
+it runs them in batches of that many rows in place, three numpy calls per
+rotation for all rows still running; a lone run is a batch of one.
+Otherwise each run takes a loop of five calls with 0-d weights. Both
+loops gather each row by its string's row of the tables and compute one
+formula from one binding of the weights, so every row is bit for bit its
+lone run in either loop.
 ``apply_circuit`` runs the synthesized circuit gate by gate and is the
 reference the rotations are tested against. ``apply_dense`` applies a
 full unitary such as ``beamsplitter.exact_unitary``; runs do not take it,
@@ -42,24 +43,19 @@ MAX_GATE_QUBITS = 24
 RNG_ALGORITHM = "numpy-pcg64"
 
 # The most weights one batch of rows writes out: strings × rows × 2^n
-# amplitudes, 32 bytes each (cos and sin); with its gathers and sign rows a
-# full batch at 3 qubits per mode peaked at 4.7 MB. ``batch_rows`` is the
-# one reading of it; when not even one row fits, each run takes the 0-d
-# loop alone. Batch of m one-step rows against m lone 0-d runs (median of
-# 7–41, shared 2-core host, one BLAS thread, two passes): 2 qubits per
-# mode, m = 1 took 0.81–0.98×, 2 0.48–0.50×, 7 0.23–0.24×, 16 0.30–0.31×;
-# 3 qubits, m = 1 0.78–0.85×, 2 0.49–0.55×, 4 0.39–0.40×, 7 0.31–0.33×,
-# 14 0.28×; 4 qubits, m = 1 1.36–1.42×, 2 1.20–1.26×, 4 1.13–1.30×. So a
-# sweep's batch holds 256 rows at 2 qubits per mode and 7 at 3, and from 4
-# up every run takes the 0-d loop; doubling the budget would gain a tenth
-# a row at 3 qubits per mode for twice the memory.
+# amplitudes, 32 bytes each (cos and sin); with its sign rows a full batch
+# at 3 qubits per mode peaked at 4.6 MB. ``batch_rows`` reads it against
+# the rotation tables, whose strings and gather rows alone size the pass;
+# when not even one row fits, each run takes the 0-d loop alone. Batch of
+# m one-step rows against m lone 0-d runs (median of 7–41, shared 2-core
+# host, one BLAS thread, two passes): 2 qubits per mode, m = 1 took
+# 0.81–0.98×, 2 0.48–0.50×, 7 0.23–0.24×, 16 0.30–0.31×; 3 qubits, m = 1
+# 0.78–0.85×, 2 0.49–0.55×, 4 0.39–0.40×, 7 0.31–0.33×, 14 0.28×; 4 qubits,
+# m = 1 1.36–1.42×, 2 1.20–1.26×, 4 1.13–1.30×. So a sweep's batch holds
+# 256 rows at 2 qubits per mode and 7 at 3, and from 4 up every run takes
+# the 0-d loop; doubling the budget would gain a tenth a row at 3 qubits
+# per mode for twice the memory.
 BATCH_WEIGHTS = 2 ** 17
-
-
-def batch_rows(strings: int, n_qubits: int) -> int:
-    """The most rows of ``strings`` rotations on ``n_qubits`` whose weights,
-    written out, fit ``BATCH_WEIGHTS``; 0 when not even one row fits."""
-    return BATCH_WEIGHTS // max(1, strings << n_qubits)
 
 
 class NormDriftError(RuntimeError):
@@ -187,6 +183,12 @@ def rotation_tables(n_qubits: int, terms: Sequence[PauliTerm]) -> RotationTables
     return RotationTables(n, gathers, signs, x_rows, z_rows, np.array(phases, dtype=complex))
 
 
+def batch_rows(tables: RotationTables) -> int:
+    """The most rows whose weights, one per string and amplitude of ``tables``,
+    fit ``BATCH_WEIGHTS`` written out; 0 when not even one row fits."""
+    return BATCH_WEIGHTS // max(1, len(tables.x_rows) * tables.gathers.shape[1])
+
+
 def evolve(
     s: StateVector, tables: RotationTables, runs: Sequence[tuple[Sequence[float], int]]
 ) -> list[StateVector]:
@@ -200,10 +202,11 @@ def evolve(
     written out, fit ``BATCH_WEIGHTS`` (``batch_rows``), the runs evolve in
     batches of that many rows, three numpy calls per string for all rows
     still running; otherwise each run evolves alone with 0-d weights, five
-    numpy calls per string. Both loops bind cos α and sin α·phase through
-    ``_weights`` and each product has a factor that is purely real or purely
-    imaginary (cos α, sin α·phase, ±1), so however numpy loops over its
-    operands, every row is bit for bit one formula, whichever loop runs it.
+    numpy calls per string. Both loops gather each row by its string's row
+    of ``gathers``, bind cos α and sin α·phase through ``_weights``, and
+    each product has a factor that is purely real or purely imaginary (cos
+    α, sin α·phase, ±1), so however numpy loops over its operands, every
+    row is bit for bit one formula, whichever loop runs it.
     """
     if tables.n_qubits != s.n_qubits:
         raise ValueError("register width mismatch")
@@ -212,7 +215,7 @@ def evolve(
         raise ValueError("every run needs one angle per string")
     if any(repeat < 1 for _, repeat in runs):
         raise ValueError("repeat must be >= 1")
-    rows = batch_rows(strings, s.n_qubits)
+    rows = batch_rows(tables)
     if not rows:
         return [_evolve_alone(s, tables, angles, repeat) for angles, repeat in runs]
     chunks = [runs[i : i + rows] for i in range(0, len(runs), rows)]
@@ -230,17 +233,18 @@ def _weights(tables: RotationTables, angles) -> np.ndarray:
 def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVector]:
     """One batch of ``runs`` in place, longest repeat first; a row leaves after its repeats."""
     order = sorted(range(len(runs)), key=lambda i: runs[i][1], reverse=True)
-    m, dim, strings = len(order), 2 ** s.n_qubits, len(tables.x_rows)
-    # Every operand of a call has the running rows' shape and is contiguous,
-    # so numpy takes its same-shape loop (a broadcast or strided operand
-    # costs up to twice as much a call): the gathers of all rows, of which a
-    # phase takes its running rows' prefix, and per string the rows' cos α
-    # and sin α·phase·(−1)^|z&j| written out along each row.
-    gathers = _batch_gathers(tables, m)
+    strings, dim = len(tables.x_rows), tables.gathers.shape[1]
+    # Every operand of a multiply or add has the running rows' shape and is
+    # contiguous, so numpy takes its same-shape loop (a broadcast or strided
+    # operand costs up to twice as much a call): per string the rows' cos α
+    # and sin α·phase·(−1)^|z&j| written out along each row. Each string
+    # gathers every row by its x mask's row of the tables, one view per mask.
+    gather_rows = list(tables.gathers)
+    gathers = [gather_rows[x] for x in tables.x_rows]
     signs = tables.signs[list(tables.z_rows)]
     columns = np.array([_weights(tables, runs[i][0]) for i in order]).transpose(2, 1, 0)
     state = s.amplitudes[None]
-    out: list = [None] * m
+    out: list = [None] * len(runs)
     done = 0
     while order:
         k = len(order)
@@ -250,10 +254,8 @@ def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVec
         weights = np.empty((strings, 2, k, dim), dtype=complex)
         weights[:, 0] = columns[:, 0, :k, None]
         np.multiply(columns[:, 1, :k, None], signs[:, None], weights[:, 1])
-        gather_rows = list(gathers[:, :k])
-        step = list(zip([gather_rows[x] for x in tables.x_rows], weights))
         repeat = runs[order[-1]][1]
-        _rotate(buf, step, repeat - done)
+        _rotate(buf, list(zip(gathers, weights)), repeat - done)
         state = buf[0]
         done = repeat
         while order and runs[order[-1]][1] == done:
@@ -262,25 +264,18 @@ def _evolve_batch(s: StateVector, tables: RotationTables, runs) -> list[StateVec
     return out
 
 
-def _batch_gathers(tables: RotationTables, m: int) -> np.ndarray:
-    """For a batch of ``m`` rows, per x mask each row's gather into the
-    flattened batch: row r's gather index offset by r·2^n, so any prefix
-    of k rows gathers among them."""
-    dim = 2 ** tables.n_qubits
-    return tables.gathers[:, None] + np.arange(0, m * dim, dim)[:, None]
-
-
 def _rotate(buf, step, repeat: int) -> None:
     """``repeat`` times, each string (gather, weight) of ``step`` on the
-    state ``buf[0]`` in place in three calls: gather into the moved half
-    ``buf[1]``, multiply the buffer by ``weight`` (cos α over the state, the
-    signed sin α·phase over the moved half), add the moved half."""
+    rows of ``buf[0]`` in place in three calls: gather each row along its
+    own axis into the moved half ``buf[1]``, multiply the buffer by
+    ``weight`` (cos α over the state, the signed sin α·phase over the moved
+    half), add the moved half."""
     psi, moved = buf
-    take = psi.reshape(-1).take
+    take = psi.take
     multiply, add = np.multiply, np.add
     for _ in range(repeat):
         for gather, weight in step:
-            take(gather, None, moved, "clip")
+            take(gather, 1, moved, "clip")
             multiply(weight, buf, buf)
             add(psi, moved, psi)
 

@@ -12,8 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from homsim import circuit, experiments, statevector as sv
-from homsim.beamsplitter import exact_unitary, interaction, reduced_interaction
-from homsim.circuit import bind_angles, synthesize, trotter_sequence
+from homsim.beamsplitter import exact_unitary, fock_sector, interaction, reduced_interaction
+from homsim.circuit import Gate, bind_angles, step_terms, synthesize, trotter_sequence
 from homsim.cli import main
 from homsim.experiments import (
     MAX_POINTS,
@@ -209,12 +209,25 @@ class TestRunHom:
                 "^theta_grid takes finite numbers, got ",
             ),
             (lambda: theta_grid(3, 10**400), "^stop must be finite$"),
+            (
+                lambda: exact_unitary(10**400, interaction(FockEncoding(1))),
+                "^theta must be finite$",
+            ),
+            (
+                lambda: fock_sector(FockEncoding(2), (1, 1)).amplitudes(10**400),
+                "^theta = 10{400}: the phases exp",
+            ),
+            (
+                lambda: bind_angles(step_terms(interaction(FockEncoding(1))), 10**400, 1),
+                "^theta = 10{400}, steps = 1: ",
+            ),
+            (lambda: Gate("RZ", 0, angle=10**400), "^RZ needs a finite angle$"),
         ],
-        ids=["config", "sweep-row", "grid-stop"],
+        ids=["config", "sweep-row", "grid-stop", "exact-unitary", "sector", "bind", "gate"],
     )
     def test_int_too_large_for_a_float_refused_by_name(self, refused, message):
-        # math.isfinite and float() raise OverflowError on such an int; the
-        # CLI maps only ValueError to a usage error.
+        # math.isfinite, float() and a float product raise OverflowError on
+        # such an int; the CLI maps only ValueError to a usage error.
         with pytest.raises(ValueError, match=message):
             refused()
 
@@ -621,6 +634,8 @@ class TestSweepBatch:
             sweep_trotter(config, steps)
         assert calls == {"run_hom": 0, "evolve": 0}
         assert compile_step(config).pending == {}
+        # The batch size is read off the tables, which the refusal comes before.
+        assert "tables" not in vars(compile_step(config))
 
     @pytest.mark.parametrize(
         "sweep, row",

@@ -358,6 +358,38 @@ class TestRotationPass:
         sv.evolve(start, compiled.tables, [(bind_angles(compiled.terms, 0.7, 2), 2)])
         assert taken == [loop]
 
+    @pytest.mark.parametrize(
+        "qpm, full, reduced",
+        [(1, 16384, 131072), (2, 256, 512), (3, 7, 32), (4, 0, 2), (5, 0, 0), (6, 0, 0)],
+    )
+    def test_batch_rows_of_each_width(self, qpm, full, reduced):
+        # The rows a batch holds, and so the loop each width takes: 0 is the 0-d loop.
+        for rows, is_reduced in ((full, False), (reduced, True)):
+            compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=is_reduced))
+            assert sv.batch_rows(compiled.tables) == rows
+
+    @BUDGETS
+    @pytest.mark.parametrize(
+        "qpm, reduced, size",
+        [(1, False, 2), (2, False, 8), (3, False, 32), (4, False, 128)]
+        + [(1, True, 1), (2, True, 4), (3, True, 4), (4, True, 4)],
+    )
+    def test_a_basis_start_stays_on_its_coset(self, monkeypatch, budget, qpm, reduced, size):
+        # A rotation moves amplitude only between j and j ⊕ x, so every
+        # amplitude outside the start's coset of the span of the x masks
+        # (row r of the gathers is j ⊕ x, so its entry at 0 is x) stays 0.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
+        start = compiled.labels[compiled.sector.start]
+        coset = {int(start, 2)}
+        for x in compiled.tables.gathers[:, 0].tolist():
+            coset |= {j ^ x for j in coset}
+        assert len(coset) == size
+        outside = np.setdiff1d(np.arange(4**qpm), sorted(coset))
+        runs = [(bind_angles(compiled.terms, theta, 2), 2) for theta in (0.7, -1.3, 0.0)]
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", budget)
+        for out in sv.evolve(init_basis(2 * qpm, start), compiled.tables, runs):
+            assert np.all(out.amplitudes[outside] == 0)
+
     def test_the_budget_picks_the_loop(self, monkeypatch):
         # 3 strings × 4 amplitudes = 12 weights a row: at 24 one batch of both
         # rows runs a phase per repeat count, at 12–23 each row is a batch of
@@ -416,10 +448,6 @@ class TestRotationPass:
         dim = 2 ** tables.n_qubits
         for gather in tables.gathers:
             assert np.array_equal(np.sort(gather), np.arange(dim))
-        for rows in (1, 2, 7):
-            for gather in sv._batch_gathers(tables, rows):
-                for k in range(1, rows + 1):
-                    assert np.array_equal(np.sort(gather[:k].ravel()), np.arange(k * dim))
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
