@@ -17,12 +17,12 @@ run at one width share one step, its sector and its labels. Runs of one
 key share the last step compiled, so a sweep or a repeated run builds each
 part once and the process holds one step at a time; the circuit report
 emits from one step per H. A sweep calls ``run_hom`` once per row, the one
-place a report is built, but evolves its circuit rows ahead in batches of
-one rotation pass each, as many rows as ``statevector.batch_rows`` of the
+place a report is built, but evolves its circuit rows in batches of one
+rotation pass each, as many rows as ``statevector.batch_rows`` of the
 step's rotation tables lets the pass run in its batch loop (one from 4
-qubits per mode up), so only the tables size a batch: the step keeps each
-row's exact and evolved states, by the row's config, until that row's run
-takes them.
+qubits per mode up), so only the tables size a batch; each row's exact and
+evolved states go from its batch to its ``run_hom`` as an argument, and
+the step keeps no per-row state.
 Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
@@ -143,8 +143,7 @@ class CompiledStep:
     keeps the last step it compiled, so the runs of one key share it: each
     binds its θ/steps to it, ``evolve`` binds those of a batch of configs
     and evolves them in one rotation pass, and ``circuit`` binds them and
-    emits. ``pending`` holds the exact and evolved states of the rows a
-    sweep evolved ahead, by row config, until each row's run takes its own.
+    emits. A step holds its key and θ-free parts and no run's state.
     """
 
     qubits_per_mode: int
@@ -173,10 +172,6 @@ class CompiledStep:
     def profile(self) -> circ.Circuit:
         # At θ = 1 and one step each angle is its coefficient; metrics read no angle.
         return self.circuit(1.0, 1)
-
-    @cached_property
-    def pending(self) -> dict[ExperimentConfig, tuple[sv.StateVector, sv.StateVector]]:
-        return {}
 
     def evolve(
         self, configs: Sequence[ExperimentConfig]
@@ -212,15 +207,21 @@ def compile_step(config: ExperimentConfig) -> CompiledStep:
     return _last_step(config.qubits_per_mode, config.reduced)
 
 
-def run_hom(config: ExperimentConfig) -> ExperimentReport:
-    """One interference run on ``config``'s step: prep, evolve, measure statistics."""
+def run_hom(
+    config: ExperimentConfig, states: Optional[tuple[sv.StateVector, sv.StateVector]] = None
+) -> ExperimentReport:
+    """One interference run on ``config``'s step: prep, evolve, measure statistics.
+
+    A circuit run given ``states``, its exact and evolved states from a
+    sweep's batch, reports on them; without them it evolves alone.
+    """
     compiled = compile_step(config)
     metrics_out: Optional[dict] = None
     if config.exact:
         n = 2 * config.qubits_per_mode
         exact_state = out = sv.StateVector(n, compiled.sector.amplitudes(config.theta))
     else:
-        exact_state, out = compiled.pending.pop(config, None) or compiled.evolve([config])[0]
+        exact_state, out = states or compiled.evolve([config])[0]
         metrics_out = compiled.profile.metrics(config.trotter_steps)
 
     probs = sv.probabilities(out)
@@ -252,11 +253,11 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
     """``run_hom`` of ``config`` with field ``name`` set to each of ``values``
     and row i seeded ``seed + i``, in order, one report at a time.
 
-    Circuit rows are evolved ahead in batches of ``statevector.batch_rows``
-    of the step's tables (at least one row), their states kept on the step
-    until each row's run takes its own. The row with the most steps is bound
-    first, so a row over the rotation cap is refused before the tables are
-    built or any row runs, and no state is left kept, refused or not.
+    Circuit rows are evolved in batches of ``statevector.batch_rows`` of the
+    step's tables (at least one row), and each row's run is passed its own
+    states. The row with the most steps is checked first as its lone run
+    would be, phases then angles, so a row over the rotation cap is refused
+    before the tables are built or any row runs.
     """
     configs = [replace(config, **{name: v}, seed=config.seed + i) for i, v in enumerate(values)]
     if config.exact:
@@ -264,15 +265,12 @@ def _reports(config: ExperimentConfig, name: str, values: list) -> Iterator[Expe
         return
     compiled = compile_step(config)
     longest = max(configs, key=lambda c: c.trotter_steps)
+    compiled.sector.amplitudes(longest.theta)
     circ.bind_angles(compiled.terms, longest.theta, longest.trotter_steps)
     size = max(1, sv.batch_rows(compiled.tables))
-    try:
-        for i in range(0, len(configs), size):
-            batch = configs[i : i + size]
-            compiled.pending.update(zip(batch, compiled.evolve(batch)))
-            yield from map(run_hom, batch)
-    finally:
-        compiled.pending.clear()
+    for i in range(0, len(configs), size):
+        batch = configs[i : i + size]
+        yield from map(run_hom, batch, compiled.evolve(batch))
 
 
 def sweep_trotter(

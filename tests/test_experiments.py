@@ -529,8 +529,8 @@ def row_reports(monkeypatch):
     """Every report ``experiments.run_hom`` returns from here on, in order."""
     reports = []
 
-    def kept(config):
-        reports.append(run_hom(config))
+    def kept(config, *states):
+        reports.append(run_hom(config, *states))
         return reports[-1]
 
     monkeypatch.setattr(experiments, "run_hom", kept)
@@ -541,11 +541,11 @@ def _fail_on_second_row(monkeypatch):
     """From here on the second ``experiments.run_hom`` call raises."""
     runs = []
 
-    def second_fails(config):
+    def second_fails(config, *states):
         runs.append(config)
         if len(runs) == 2:
             raise RuntimeError("second row")
-        return run_hom(config)
+        return run_hom(config, *states)
 
     monkeypatch.setattr(experiments, "run_hom", second_fails)
 
@@ -633,7 +633,6 @@ class TestSweepBatch:
         with pytest.raises(ValueError, match=rf"^{error} is more than 262144 rotations$"):
             sweep_trotter(config, steps)
         assert calls == {"run_hom": 0, "evolve": 0}
-        assert compile_step(config).pending == {}
         # The batch size is read off the tables, which the refusal comes before.
         assert "tables" not in vars(compile_step(config))
 
@@ -656,12 +655,18 @@ class TestSweepBatch:
                 ),
                 ExperimentConfig(theta=8e307, seed=1235, qubits_per_mode=3),
             ),
+            (
+                lambda: sweep_theta(ExperimentConfig(), [1e308, 0.1], use_circuit=True),
+                ExperimentConfig(theta=1e308),
+            ),
         ],
-        ids=["trotter-phases", "theta-phases", "theta-circuit-angle"],
+        ids=["trotter-phases", "theta-phases", "theta-circuit-angle", "theta-phases-first-row"],
     )
     def test_refusal_is_the_failing_rows_own(self, sweep, row):
         # A batch checks each row as its lone run does, exact phases first:
-        # at 1e308 both the phases and the circuit angles overflow.
+        # at 1e308 both the phases and the circuit angles overflow. The
+        # longest row, checked before the tables are built, is the first
+        # row of a θ sweep.
         with pytest.raises(ValueError) as lone:
             run_hom(row)
         with pytest.raises(ValueError) as swept:
@@ -686,16 +691,21 @@ class TestSweepBatch:
         ids=["trotter", "theta-circuit", "theta-overflow", "rotation-cap", "zero-steps",
              "run-fails"],
     )
-    def test_no_state_left_pending(self, monkeypatch, sweep, refusal):
+    def test_a_sweep_leaves_the_step_its_key_and_parts(self, monkeypatch, sweep, refusal):
+        # A lone run first builds every θ-free part; a sweep, refused or
+        # not, adds nothing to the step it ran on.
         config = ExperimentConfig(trotter_steps=2, qubits_per_mode=3)
         step = compile_step(config)
+        run_hom(config)
         if refusal is None:
             sweep(config, monkeypatch)
         else:
             with pytest.raises(refusal):
                 sweep(config, monkeypatch)
         assert compile_step(config) is step
-        assert step.pending == {}
+        assert set(vars(step)) == {
+            "qubits_per_mode", "reduced", "sector", "labels", "terms", "tables", "profile"
+        }
 
     def test_batch_cap_bounds_a_sweeps_memory(self, monkeypatch):
         # 288 strings × 64 amplitudes a row at qpm 3: the cap runs 7 rows to a
