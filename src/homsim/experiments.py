@@ -19,10 +19,13 @@ part once and the process holds one step at a time; the circuit report
 emits from one step per H. A sweep calls ``run_hom`` once per row, the one
 place a report is built, but evolves its circuit rows in batches of one
 rotation pass each, as many rows as ``statevector.batch_rows`` of the
-step's rotation tables lets the pass run in its batch loop (one from 4
-qubits per mode up), so only the tables size a batch; each row's exact and
-evolved states go from its batch to its ``run_hom`` as an argument, and
-the step keeps no per-row state.
+step's rotation tables lets the pass run in its batch loop, one
+exponential per run of commuting strings (431 rows at 2 qubits per mode,
+13 at 3, one for the full step from 4 up, which takes the per-string
+pass; the reduced step's 2^(q−1) + 1 runs, q ≥ 2, batch up to 5), so only
+the tables size a batch; each row's exact and evolved states go from its
+batch to its ``run_hom`` as an argument, and the step keeps no per-row
+state.
 Start states and sweep columns are labels of sector rows.
 The circuit is compiled from the full beam-splitter H, or with ``reduced``
 from H projected onto the input's 2-photon sector; the step count and
@@ -137,13 +140,15 @@ class CompiledStep:
     Each θ-free part is built from the key on first need and kept: the
     input's ``Sector``, the register's bitstring labels in index order, the
     step's terms with their real coefficients, the rotation pass's tables
-    and the step's circuit as its metrics ``profile``. So an exact run never
-    builds H, a circuit report never builds the sector, and a run whose
-    angles are refused builds neither tables nor gates. ``compile_step``
-    keeps the last step it compiled, so the runs of one key share it: each
-    binds its θ/steps to it, ``evolve`` binds those of a batch of configs
-    and evolves them in one rotation pass, and ``circuit`` binds them and
-    emits. A step holds its key and θ-free parts and no run's state.
+    built from those pairs (their runs' couplings on the batch loop's
+    first need) and the step's circuit as its metrics ``profile``. So an
+    exact run never builds H, a circuit report never builds the sector,
+    and a run whose angles are refused builds neither tables nor gates.
+    ``compile_step`` keeps the last step it compiled, so the runs of one
+    key share it: each binds its θ/steps to it, ``evolve`` binds those of
+    a batch of configs and evolves them in one rotation pass, and
+    ``circuit`` binds them and emits. A step holds its key and θ-free
+    parts and no run's state.
     """
 
     qubits_per_mode: int
@@ -166,7 +171,7 @@ class CompiledStep:
 
     @cached_property
     def tables(self) -> sv.RotationTables:
-        return sv.rotation_tables(2 * self.qubits_per_mode, [term for term, _ in self.terms])
+        return sv.rotation_tables(2 * self.qubits_per_mode, self.terms)
 
     @cached_property
     def profile(self) -> circ.Circuit:
@@ -180,15 +185,17 @@ class CompiledStep:
 
         Every config is checked first, in a lone run's order (exact phases,
         then circuit angles), so a refused row names what its lone run
-        would; then one rotation pass evolves them all.
+        would; then one rotation pass evolves them all, refusing a row whose
+        run angle θ·|h|/steps is not finite.
         """
         n = 2 * self.qubits_per_mode
-        exact, runs = [], []
+        exact = []
         for c in configs:
             exact.append(sv.StateVector(n, self.sector.amplitudes(c.theta)))
-            runs.append((circ.bind_angles(self.terms, c.theta, c.trotter_steps), c.trotter_steps))
+            circ.bind_angles(self.terms, c.theta, c.trotter_steps)
+        rows = [(c.theta, c.trotter_steps) for c in configs]
         start = sv.init_basis(n, self.labels[self.sector.start])
-        return list(zip(exact, sv.evolve(start, self.tables, runs)))
+        return list(zip(exact, sv.evolve(start, self.tables, rows)))
 
     def circuit(self, theta: float, steps: int) -> circ.Circuit:
         """The step's gates at θ, repeated ``steps`` times."""

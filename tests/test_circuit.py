@@ -101,10 +101,10 @@ def test_emitter_and_rotation_pass_share_the_width_rule(n, axes):
     with pytest.raises(ValueError, match=f"register of {n}"):
         trotter_circuit([(off, 0.3)], n, 1)
     with pytest.raises(ValueError, match=f"register of {n}"):
-        rotation_tables(n, [off])
+        rotation_tables(n, [(off, 0.3)])
     fits = PauliTerm.from_label(1.0, "X" + "Z" * (n - 1))
     np.testing.assert_allclose(
-        evolve(start, rotation_tables(n, [fits]), [([0.3], 1)])[0].amplitudes,
+        evolve(start, rotation_tables(n, [(fits, 0.3)]), [(1.0, 1)])[0].amplitudes,
         apply_circuit(start, trotter_circuit([(fits, 0.3)], n, 1)).amplitudes,
         rtol=0, atol=1e-12,
     )

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 
 from homsim import circuit, experiments, statevector as sv
 from homsim.beamsplitter import exact_unitary, fock_sector, interaction, reduced_interaction
-from homsim.circuit import Gate, bind_angles, step_terms, synthesize, trotter_sequence
+from homsim.circuit import Gate, bind_angles, step_terms, synthesize
 from homsim.cli import main
 from homsim.experiments import (
     MAX_POINTS,
@@ -253,12 +253,10 @@ class TestCompiledStep:
         rng = np.random.default_rng(qpm)
         psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         start = sv.StateVector(n, psi / np.linalg.norm(psi))
+        tables = sv.rotation_tables(n, step_terms(inter))
         for theta, steps in [(0.7, 1), (math.pi / 4, 3), (1.4, 5)]:
-            angles = bind_angles(compiled.terms, theta, steps)
-            fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
-            step = trotter_sequence(inter, theta, steps)
-            tables = sv.rotation_tables(n, [term for term, _ in step])
-            rotations = sv.evolve(start, tables, [([angle for _, angle in step], steps)])[0]
+            fast = sv.evolve(start, compiled.tables, [(theta, steps)])[0].amplitudes
+            rotations = sv.evolve(start, tables, [(theta, steps)])[0]
             gates = sv.apply_circuit(start, synthesize(inter, theta, steps))
             assert fast.tobytes() == rotations.amplitudes.tobytes()
             np.testing.assert_allclose(fast, gates.amplitudes, rtol=0, atol=1e-12)
@@ -458,29 +456,38 @@ class TestCompiledStep:
         sweep_theta(ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True)
         assert len(calls) == 3
 
+    CIRCUIT_SWEEPS = {
+        "trotter-q2": lambda: sweep_trotter(
+            ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]
+        ),
+        "trotter-q3": lambda: sweep_trotter(
+            ExperimentConfig(theta=0.7, qubits_per_mode=3), [1, 2, 4, 8]
+        ),
+        "trotter-q3-reduced": lambda: sweep_trotter(
+            ExperimentConfig(theta=0.7, qubits_per_mode=3, reduced=True), [1, 3, 5]
+        ),
+        "theta-circuit-q2": lambda: sweep_theta(
+            ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True
+        ),
+    }
+
     @pytest.mark.parametrize(
         "sweep, digest",
         [
             (
-                lambda: sweep_trotter(ExperimentConfig(theta=0.7), [1, 2, 4, 8, 16, 32, 64]),
+                CIRCUIT_SWEEPS["trotter-q2"],
                 "e1a582f19fc2343203b759822f8cc6fe334301347bd440079ea7da99f84d4b99",
             ),
             (
-                lambda: sweep_trotter(
-                    ExperimentConfig(theta=0.7, qubits_per_mode=3), [1, 2, 4, 8]
-                ),
+                CIRCUIT_SWEEPS["trotter-q3"],
                 "6b7dc615d03a220748bd692139e977fee73d48ea6e9ac945895adffd22e21009",
             ),
             (
-                lambda: sweep_trotter(
-                    ExperimentConfig(theta=0.7, qubits_per_mode=3, reduced=True), [1, 3, 5]
-                ),
+                CIRCUIT_SWEEPS["trotter-q3-reduced"],
                 "88aaf1c097b2a2cd44b8ccd9830acc437a35670684fa95b84461972d9e0b0445",
             ),
             (
-                lambda: sweep_theta(
-                    ExperimentConfig(trotter_steps=3), theta_grid(9), use_circuit=True
-                ),
+                CIRCUIT_SWEEPS["theta-circuit-q2"],
                 "fcbb9c7a496cc0bfdca0e8cb5ed6691b1ae598419577a5c18a7c4e73eb63a5c5",
             ),
             (
@@ -495,10 +502,47 @@ class TestCompiledStep:
         ids=["trotter-q2", "trotter-q3", "trotter-q3-reduced", "theta-circuit-q2",
              "theta-exact-q2", "theta-exact-q3"],
     )
-    def test_sweep_rows_unchanged(self, sweep, digest):
+    def test_sweep_rows_unchanged(self, monkeypatch, sweep, digest):
         # Digests of the rows computed while every row rebuilt H and its step,
-        # and on the exact path the sector's eigenbasis and the register labels.
+        # and on the exact path the sector's eigenbasis and the register
+        # labels. The per-string pass, which every circuit row takes at a
+        # budget of 0, still computes them.
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
         assert hashlib.sha256(json.dumps(sweep()).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("trotter-q2", "5af099aabead9f47ca12290d519d9791c537585f4cff64ee3c4106cc047d9a73"),
+            ("trotter-q3", "fd8992d86ef1f2934c3d26b1740f9162b4330e978aea93e40485e4d2964cddd4"),
+            (
+                "trotter-q3-reduced",
+                "4b19229d912c0fcde77561fcd2ed123eaa0cdf210591b029fd19caa04c7c63a3",
+            ),
+            (
+                "theta-circuit-q2",
+                "ccd8ec7f89dad4972a9ea9abb7ef3e1133bcdbfe37a5444ef0510cb38d95431e",
+            ),
+        ],
+    )
+    def test_sweep_rows_of_the_runs_unchanged(self, name, digest):
+        # The same sweeps at the real budget, each run of strings one exponential.
+        rows = self.CIRCUIT_SWEEPS[name]()
+        assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", CIRCUIT_SWEEPS)
+    def test_rows_of_the_runs_are_the_per_string_rows(self, monkeypatch, name):
+        # Every probability and fidelity within 1e−12, the circuit counts equal.
+        runs = self.CIRCUIT_SWEEPS[name]()
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
+        strings = self.CIRCUIT_SWEEPS[name]()
+        assert [list(row) for row in runs] == [list(row) for row in strings]
+        for a, b in zip(runs, strings):
+            for key, value in a.items():
+                if isinstance(value, float):
+                    assert abs(value - b[key]) <= 1e-12
+                else:
+                    assert value == b[key]
 
     def test_exact_sweep_reports_unchanged(self, monkeypatch):
         # Every row's full report at qpm 3, as a lone run at the row's seed
@@ -563,7 +607,7 @@ class TestSweepBatch:
     @staticmethod
     def cap_rows(monkeypatch, config, rows):
         """Caps a batch of ``config``'s key at ``rows`` rows."""
-        weights = max(1, len(compile_step(config).terms)) * 4**config.qubits_per_mode
+        weights = max(1, len(compile_step(config).tables.run_starts)) * 4**config.qubits_per_mode
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", rows * weights)
 
     @staticmethod
@@ -708,9 +752,9 @@ class TestSweepBatch:
         }
 
     def test_batch_cap_bounds_a_sweeps_memory(self, monkeypatch):
-        # 288 strings × 64 amplitudes a row at qpm 3: the cap runs 7 rows to a
-        # batch, and tracemalloc peaked at 4.7–4.9 MB for 7 and 256 rows. All
-        # 64 rows in one batch wrote out 38 MB of weights and peaked at 40 MB.
+        # 151 runs × 64 amplitudes a row at qpm 3: the cap runs 13 rows to a
+        # batch, and tracemalloc peaked at 4.7–4.9 MB for 13 to 256 rows. All
+        # 64 rows in one batch wrote out 20 MB of weights and peaked at 21 MB.
         config = ExperimentConfig(qubits_per_mode=3)
 
         def peak(points: int) -> int:
@@ -724,7 +768,7 @@ class TestSweepBatch:
 
         assert peak(256) < 6_000_000
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 10**12)
-        assert peak(64) > 30_000_000
+        assert peak(64) > 15_000_000
 
 
 class TestSweepTrotter:

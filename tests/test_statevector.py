@@ -10,7 +10,7 @@ from scipy import stats
 from conftest import apply_gate, circuit_of, givens_product, walked_sample
 from homsim import statevector as sv
 from homsim.beamsplitter import Interaction, exact_unitary, interaction
-from homsim.circuit import Gate, bind_angles, step_terms, synthesize, trotter_sequence
+from homsim.circuit import Gate, bind_angles, step_terms, synthesize
 from homsim.experiments import ExperimentConfig, compile_step
 from homsim.gray import FockEncoding
 from homsim.pauli import PauliOp, PauliTerm, _action
@@ -257,8 +257,9 @@ def hermitian_runs(draw):
 
 
 def plain_evolve(s, tables, angles, repeat=1):
-    """Reference of both loops: one fresh vector expression per string,
-    cos α·ψ + (sin α·phase·(−1)^|z&j|)·ψ[j ⊕ x] with Python-scalar weights."""
+    """Reference of the per-string pass: one fresh vector expression per
+    string, cos a·ψ + (sin a·phase·(−1)^|z&j|)·ψ[j ⊕ x] with Python-scalar
+    weights."""
     psi = s.amplitudes
     strings = [
         (tables.gathers[x], tables.signs[z], math.cos(a), math.sin(a) * phase)
@@ -272,9 +273,22 @@ def plain_evolve(s, tables, angles, repeat=1):
     return psi
 
 
+def per_string(tables, start, theta, steps):
+    """The per-string pass's amplitudes at θ and ``steps``, angles bound as a circuit's."""
+    return plain_evolve(start, tables, bind_angles(tables.step, theta, steps), steps)
+
+
+def assert_per_string(budget, fast, plain):
+    """The 0-d loop is the per-string pass's bytes; the runs agree with it to 1e−12."""
+    if budget:
+        np.testing.assert_allclose(fast, plain, rtol=0, atol=1e-12)
+    else:
+        assert fast.tobytes() == plain.tobytes()
+
+
 @st.composite
 def batched_runs(draw):
-    """A hermitian run's H and start, with 1-6 rows of their own θ and 1-5 repeats."""
+    """A hermitian run's H and start, with 1-6 rows of their own θ and 1-5 steps."""
     inter, _, _, start = draw(hermitian_runs())
     theta = st.floats(-math.pi, math.pi, allow_nan=False)
     rows = draw(st.lists(st.tuples(theta, st.integers(1, 5)), min_size=1, max_size=6))
@@ -287,49 +301,49 @@ def random_state(n, seed):
     return StateVector(n, psi / np.linalg.norm(psi))
 
 
-# The real budget runs every drawn run in the three-call batch loop; a budget
-# of 0 sends every run alone to the five-call 0-d loop. Each is the one
-# plain expression's bytes.
+def unit_step(*labels):
+    """A hand-built step: each label's string with coefficient 1, in order."""
+    return [(PauliTerm.from_label(1.0, label), 1.0) for label in labels]
+
+
+# The real budget runs every drawn run in the three-call batch loop, one
+# exponential per run of strings; a budget of 0 sends every row alone to the
+# five-call 0-d loop, the per-string pass.
 BUDGETS = pytest.mark.parametrize("budget", [sv.BATCH_WEIGHTS, 0], ids=["batch", "zero-d"])
 
 
 class TestRotationPass:
     @BUDGETS
     @given(run=hermitian_runs())
-    def test_bit_for_bit_the_plain_expression(self, budget, run):
-        # The in-place pass keeps every operand and its order: equal bytes,
-        # signed zero angles included.
+    def test_is_the_plain_expression(self, budget, run):
+        # The 0-d loop keeps every operand and its order: equal bytes, signed
+        # zero angles included. The runs reorder the float operations.
         inter, theta, steps, start = run
+        tables = sv.rotation_tables(start.n_qubits, step_terms(inter))
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sv, "BATCH_WEIGHTS", budget)
             for angle in (theta, 0.0, -0.0):
-                step = trotter_sequence(inter, angle, steps)
-                tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
-                angles = [a for _, a in step]
-                fast = sv.evolve(start, tables, [(angles, steps)])[0].amplitudes
-                plain = plain_evolve(start, tables, angles, steps)
-                assert fast.tobytes() == plain.tobytes()
+                fast = sv.evolve(start, tables, [(angle, steps)])[0].amplitudes
+                assert_per_string(budget, fast, per_string(tables, start, angle, steps))
 
     @BUDGETS
     @given(run=batched_runs())
-    def test_batch_rows_bit_for_bit_the_plain_expression(self, budget, run):
-        # Rows of mixed repeats leave the batch at their own repeats; each is
-        # the plain expression's bytes and its lone run's, and the start is kept.
+    def test_batch_rows_are_their_lone_runs(self, budget, run):
+        # Rows of mixed step counts leave the batch at their own repeats; each
+        # is its lone run's bytes and the per-string pass's amplitudes, and
+        # the start is kept.
         inter, rows, start = run
-        step = step_terms(inter)
-        tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
-        runs = [(bind_angles(step, theta, repeat), repeat) for theta, repeat in rows]
+        tables = sv.rotation_tables(start.n_qubits, step_terms(inter))
         before = start.amplitudes.tobytes()
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(sv, "BATCH_WEIGHTS", budget)
-            batch = sv.evolve(start, tables, runs)
+            batch = sv.evolve(start, tables, rows)
             assert start.amplitudes.tobytes() == before
-            assert len(batch) == len(runs)
-            for (angles, repeat), state in zip(runs, batch):
-                plain = plain_evolve(start, tables, angles, repeat).tobytes()
-                assert state.amplitudes.tobytes() == plain
-                lone = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
-                assert lone.tobytes() == plain
+            assert len(batch) == len(rows)
+            for (theta, steps), state in zip(rows, batch):
+                lone = sv.evolve(start, tables, [(theta, steps)])[0].amplitudes
+                assert state.amplitudes.tobytes() == lone.tobytes()
+                assert_per_string(budget, lone, per_string(tables, start, theta, steps))
 
     @staticmethod
     def loops_taken(monkeypatch, names=("_rotate", "_evolve_alone")) -> list[str]:
@@ -348,25 +362,126 @@ class TestRotationPass:
         return taken
 
     @pytest.mark.parametrize(
-        "qpm, loop", [(1, "_rotate"), (2, "_rotate"), (3, "_rotate"), (4, "_evolve_alone")]
+        "qpm, reduced, loop",
+        [(1, False, "_rotate"), (2, False, "_rotate"), (3, False, "_rotate"),
+         (4, False, "_evolve_alone"), (4, True, "_rotate"), (5, True, "_rotate")],
     )
-    def test_lone_runs_to_qpm_3_take_the_batch_loop(self, monkeypatch, qpm, loop):
-        # 288 strings × 64 amplitudes fit the budget at qpm 3; 2,048 × 256 at qpm 4 do not.
-        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm))
+    def test_lone_runs_take_the_loop_of_their_width(self, monkeypatch, qpm, reduced, loop):
+        # 151 runs × 64 amplitudes fit the budget at qpm 3, 911 × 256 at qpm 4
+        # do not; the reduced step's 17 runs × 1,024 at qpm 5 do.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
         taken = self.loops_taken(monkeypatch)
         start = init_basis(2 * qpm, compiled.labels[compiled.sector.start])
-        sv.evolve(start, compiled.tables, [(bind_angles(compiled.terms, 0.7, 2), 2)])
+        sv.evolve(start, compiled.tables, [(0.7, 2)])
         assert taken == [loop]
 
     @pytest.mark.parametrize(
         "qpm, full, reduced",
-        [(1, 16384, 131072), (2, 256, 512), (3, 7, 32), (4, 0, 2), (5, 0, 0), (6, 0, 0)],
+        [
+            (1, (1, 32768), (0, 131072)),
+            (2, (19, 431), (3, 2730)),
+            (3, (151, 13), (5, 409)),
+            (4, (911, 0), (9, 56)),
+            (5, (4831, 0), (17, 7)),
+            (6, (23871, 0), (33, 0)),
+        ],
     )
     def test_batch_rows_of_each_width(self, qpm, full, reduced):
-        # The rows a batch holds, and so the loop each width takes: 0 is the 0-d loop.
-        for rows, is_reduced in ((full, False), (reduced, True)):
+        # The runs of each step and the rows a batch holds, and so the loop
+        # each width takes: 0 rows is the 0-d loop. The reduced step
+        # alternates its two x masks in 2^(q−1) + 1 runs.
+        for (runs, rows), is_reduced in ((full, False), (reduced, True)):
             compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=is_reduced))
+            assert len(compiled.tables.run_starts) == runs
             assert sv.batch_rows(compiled.tables) == rows
+
+    @staticmethod
+    def assert_runs_commute(tables):
+        # Each run's strings share one x mask and commute pairwise (an even
+        # symplectic product), and each run is maximal: the next string has
+        # another x mask or anticommutes with the run's last.
+        masks = [term.xz for term, _ in tables.step]
+
+        def commute(a, b):
+            return ((a[0] & b[1]).bit_count() + (a[1] & b[0]).bit_count()) % 2 == 0
+
+        ends = tables.run_starts[1:] + (len(masks),)
+        assert tables.run_starts[:1] == ((0,) if masks else ())
+        for start, end in zip(tables.run_starts, ends):
+            run = masks[start:end]
+            assert len({x for x, _ in run}) == 1
+            assert all(commute(a, b) for a in run for b in run)
+            if end < len(masks):
+                after, last = masks[end], masks[end - 1]
+                assert after[0] != last[0] or not commute(after, last)
+
+    @staticmethod
+    def assert_couplings(tables):
+        # Each run's h is Σ c·(phase/i)·(−1)^|z&j| written out over its strings,
+        # and h(j ⊕ x) is the conjugate of h(j).
+        h = tables.runs.couplings
+        ends = tables.run_starts[1:] + (len(tables.x_rows),)
+        for row, start, end in zip(h, tables.run_starts, ends):
+            written = sum(
+                tables.step[k][1] * (tables.phases[k] / 1j) * tables.signs[tables.z_rows[k]]
+                for k in range(start, end)
+            )
+            np.testing.assert_allclose(row, written, rtol=0, atol=1e-12)
+            gather = tables.gathers[tables.x_rows[start]]
+            assert np.array_equal(row[gather], row.conj())
+
+    @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
+    @pytest.mark.parametrize("qpm", [1, 2, 3, 4, 5])
+    def test_compiled_runs_commute(self, qpm, reduced):
+        # At qpm 2–6 the split by parity never cuts a block of one x mask.
+        compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
+        tables = compiled.tables
+        self.assert_runs_commute(tables)
+        xs = tables.x_rows
+        assert len(tables.run_starts) == sum(i == 0 or x != xs[i - 1] for i, x in enumerate(xs))
+        if qpm < 5 or reduced:
+            self.assert_couplings(tables)
+
+    @given(hermitian_runs())
+    def test_drawn_runs_commute(self, run):
+        inter, _, _, start = run
+        tables = sv.rotation_tables(start.n_qubits, step_terms(inter))
+        self.assert_runs_commute(tables)
+        self.assert_couplings(tables)
+
+    @pytest.mark.parametrize(
+        "labels, run_starts",
+        [(("XX", "XY", "YY"), (0, 1, 2)), (("XX", "YY", "XY"), (0, 2)), (("XY", "YX"), (0,))],
+        ids=["split-twice", "split-once", "odd-pair"],
+    )
+    def test_neighbours_that_anticommute_split(self, labels, run_starts):
+        # XX and YY commute, XY anticommutes with each; all share x = 11. A
+        # run that held an anticommuting pair would not be their product.
+        tables = sv.rotation_tables(2, unit_step(*labels))
+        assert tables.run_starts == run_starts
+        self.assert_runs_commute(tables)
+        start = random_state(2, 7)
+        for theta, steps in [(0.7, 1), (-1.3, 3)]:
+            fast = sv.evolve(start, tables, [(theta, steps)])[0].amplitudes
+            assert_per_string(sv.BATCH_WEIGHTS, fast, per_string(tables, start, theta, steps))
+
+    def test_run_angle_that_is_not_finite_refused(self, monkeypatch):
+        # One run of four commuting strings, with |h(0)| = 4: at θ = 5e307 each
+        # circuit angle 2·θ is finite, but θ·|h| is not. The 0-d loop binds the
+        # circuit's angles and runs; the batch loop refuses, naming θ and steps.
+        tables = sv.rotation_tables(
+            3, [(PauliTerm.from_label(1.0, a), c) for a, c in
+                (("XXX", 1.0), ("XYY", -1.0), ("YXY", -1.0), ("YYX", -1.0))]
+        )
+        assert tables.run_starts == (0,)
+        assert tables.runs.levels[-1] == 4
+        assert bind_angles(tables.step, 5e307, 1) == [5e307, -5e307, -5e307, -5e307]
+        start = init_basis(3, "000")
+        with pytest.raises(ValueError, match=r"^theta = 5e\+307, steps = 1: a run angle"):
+            sv.evolve(start, tables, [(0.1, 2), (5e307, 1)])
+        sv.evolve(start, tables, [(2e307, 1)])
+        monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
+        sv.evolve(start, tables, [(5e307, 1)])
 
     @BUDGETS
     @pytest.mark.parametrize(
@@ -385,47 +500,55 @@ class TestRotationPass:
             coset |= {j ^ x for j in coset}
         assert len(coset) == size
         outside = np.setdiff1d(np.arange(4**qpm), sorted(coset))
-        runs = [(bind_angles(compiled.terms, theta, 2), 2) for theta in (0.7, -1.3, 0.0)]
+        rows = [(theta, 2) for theta in (0.7, -1.3, 0.0)]
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", budget)
-        for out in sv.evolve(init_basis(2 * qpm, start), compiled.tables, runs):
+        for out in sv.evolve(init_basis(2 * qpm, start), compiled.tables, rows):
             assert np.all(out.amplitudes[outside] == 0)
 
     def test_the_budget_picks_the_loop(self, monkeypatch):
-        # 3 strings × 4 amplitudes = 12 weights a row: at 24 one batch of both
-        # rows runs a phase per repeat count, at 12–23 each row is a batch of
+        # 3 runs × 4 amplitudes = 12 weights a row: at 24 one batch of both
+        # rows runs a phase per step count, at 12–23 each row is a batch of
         # one, and below 12 each row runs alone in the 0-d loop.
-        terms = [PauliTerm.from_label(1.0, label) for label in ("XY", "ZI", "YY")]
-        tables = sv.rotation_tables(2, terms)
-        runs = [([0.1, 0.2, 0.3], 1), ([0.4, 0.5, 0.6], 3)]
+        tables = sv.rotation_tables(2, [
+            (PauliTerm.from_label(1.0, label), coeff)
+            for label, coeff in (("XY", 1.0), ("ZI", 2.0), ("YY", 3.0))
+        ])
+        rows = [(0.1, 1), (0.4, 3)]
+        start = random_state(2, 3)
         taken = self.loops_taken(monkeypatch, ("_evolve_batch", "_rotate", "_evolve_alone"))
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 24)
-        batch = sv.evolve(random_state(2, 3), tables, runs)
+        batch = sv.evolve(start, tables, rows)
         assert taken == ["_evolve_batch", "_rotate", "_rotate"]
         for budget in (12, 23):
             taken.clear()
             monkeypatch.setattr(sv, "BATCH_WEIGHTS", budget)
-            chunks = sv.evolve(random_state(2, 3), tables, runs)
+            chunks = sv.evolve(start, tables, rows)
             assert taken == ["_evolve_batch", "_rotate"] * 2
             assert [s.amplitudes.tobytes() for s in chunks] == [
                 s.amplitudes.tobytes() for s in batch
             ]
         taken.clear()
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 11)
-        alone = sv.evolve(random_state(2, 3), tables, runs)
+        alone = sv.evolve(start, tables, rows)
         assert taken == ["_evolve_alone", "_evolve_alone"]
-        assert [s.amplitudes.tobytes() for s in alone] == [s.amplitudes.tobytes() for s in batch]
+        for (theta, steps), a, b in zip(rows, alone, batch):
+            plain = per_string(tables, start, theta, steps)
+            assert_per_string(0, a.amplitudes, plain)
+            assert_per_string(24, b.amplitudes, plain)
 
-    def test_loops_agree_byte_for_byte(self, monkeypatch):
+    def test_loops_agree_to_rounding(self, monkeypatch):
         # From a basis start at qpm 3, θ = −1.3 and one step, signing ψ
-        # before the gather rather than after it writes −0 for +0: a loop
-        # that did would differ from the other in bytes.
+        # before the gather rather than after it writes −0 for +0: the 0-d
+        # loop, which does not, is the per-string pass's bytes, and the runs
+        # are within 1e−12 of both.
         compiled = compile_step(ExperimentConfig(qubits_per_mode=3))
         start = init_basis(6, compiled.labels[compiled.sector.start])
-        runs = [(bind_angles(compiled.terms, -1.3, 1), 1)]
-        batch = sv.evolve(start, compiled.tables, runs)[0]
+        plain = per_string(compiled.tables, start, -1.3, 1)
+        batch = sv.evolve(start, compiled.tables, [(-1.3, 1)])[0].amplitudes
+        assert_per_string(sv.BATCH_WEIGHTS, batch, plain)
         monkeypatch.setattr(sv, "BATCH_WEIGHTS", 0)
-        alone = sv.evolve(start, compiled.tables, runs)[0]
-        assert alone.amplitudes.tobytes() == batch.amplitudes.tobytes()
+        alone = sv.evolve(start, compiled.tables, [(-1.3, 1)])[0].amplitudes
+        assert_per_string(0, alone, plain)
 
     @given(
         label=st.integers(1, 5).flatmap(lambda w: st.text("IXYZ", min_size=w, max_size=w)),
@@ -435,7 +558,7 @@ class TestRotationPass:
         # i·Pψ with the sign (−1)^|x&z| in the phase and (−1)^|z&j| read at j.
         width = len(label)
         term = PauliTerm.from_label(1.0, label)
-        tables = sv.rotation_tables(width, [term])
+        tables = sv.rotation_tables(width, [(term, 1.0)])
         psi = random_state(width, seed).amplitudes
         gather, sign = tables.gathers[tables.x_rows[0]], tables.signs[tables.z_rows[0]]
         fast = tables.phases[0] * sign * psi[gather]
@@ -458,80 +581,74 @@ class TestRotationPass:
     @given(hermitian_runs())
     def test_gathers_are_permutations(self, run):
         inter, _, _, start = run
-        terms = [term for term, _ in step_terms(inter)]
-        self.assert_gathers_permute(sv.rotation_tables(start.n_qubits, terms))
+        self.assert_gathers_permute(sv.rotation_tables(start.n_qubits, step_terms(inter)))
 
-    def test_no_runs_evolve_to_no_states(self):
-        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
+    def test_no_rows_evolve_to_no_states(self):
+        tables = sv.rotation_tables(2, unit_step("XY"))
         assert sv.evolve(init_basis(2, "00"), tables, []) == []
 
-    def test_every_row_needs_one_angle_per_string(self):
-        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")] * 2)
-        with pytest.raises(ValueError):
-            sv.evolve(init_basis(2, "00"), tables, [([0.1, 0.2], 2), ([0.1], 1)])
+    def test_every_row_needs_a_step(self):
+        tables = sv.rotation_tables(2, unit_step("XY", "XY"))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            sv.evolve(init_basis(2, "00"), tables, [(0.1, 2), (0.1, 0)])
 
     @pytest.mark.parametrize("reduced", [False, True], ids=["full", "reduced"])
     @pytest.mark.parametrize("qpm", [1, 2, 3, 4])
-    def test_compiled_step_bit_for_bit_the_plain_expression(self, qpm, reduced):
+    def test_compiled_step_is_the_plain_expression(self, qpm, reduced):
+        # Bytes in the 0-d loop (full qpm 4), 1e−12 in the batch loop.
         compiled = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=reduced))
         n = 2 * qpm
         starts = [random_state(n, qpm), init_basis(n, compiled.labels[compiled.sector.start])]
         for theta, steps in [(0.7, 1), (-1.3, 2), (0.0, 1), (-0.0, 2), (math.pi / 4, 3)]:
-            angles = bind_angles(compiled.terms, theta, steps)
             for start in starts:
-                fast = sv.evolve(start, compiled.tables, [(angles, steps)])[0].amplitudes
-                slow = plain_evolve(start, compiled.tables, angles, steps)
-                assert fast.tobytes() == slow.tobytes()
+                fast = sv.evolve(start, compiled.tables, [(theta, steps)])[0].amplitudes
+                plain = per_string(compiled.tables, start, theta, steps)
+                assert_per_string(sv.batch_rows(compiled.tables), fast, plain)
 
     @pytest.mark.parametrize("strings", [0, 1, 32])
     def test_leaves_the_start_alone(self, strings):
         # The pass works in place on its own copy: the start keeps its bytes,
         # shares no memory with the result, and a second run from it agrees.
         compiled = compile_step(ExperimentConfig())
-        tables = sv.rotation_tables(4, [term for term, _ in compiled.terms[:strings]])
-        angles = bind_angles(compiled.terms[:strings], 0.7, 3)
+        tables = sv.rotation_tables(4, compiled.terms[:strings])
         start = random_state(4, 5)
         before = start.amplitudes.tobytes()
-        first = sv.evolve(start, tables, [(angles, 3)])[0].amplitudes
+        first = sv.evolve(start, tables, [(0.7, 3)])[0].amplitudes
         assert start.amplitudes.tobytes() == before
         assert not np.shares_memory(first, start.amplitudes)
-        assert sv.evolve(start, tables, [(angles, 3)])[0].amplitudes.tobytes() == first.tobytes()
+        assert sv.evolve(start, tables, [(0.7, 3)])[0].amplitudes.tobytes() == first.tobytes()
 
-    @given(hermitian_runs())
-    def test_matches_gate_path(self, run):
+    @BUDGETS
+    @given(run=hermitian_runs())
+    def test_matches_gate_path(self, budget, run):
         # RZ(2α) and RX(2α) are exactly exp(-iαZ) and exp(-iαX): no phase to remove.
         inter, theta, steps, start = run
-        step = trotter_sequence(inter, theta, steps)
-        tables = sv.rotation_tables(start.n_qubits, [term for term, _ in step])
-        fast = sv.evolve(start, tables, [([angle for _, angle in step], steps)])[0]
+        tables = sv.rotation_tables(start.n_qubits, step_terms(inter))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sv, "BATCH_WEIGHTS", budget)
+            fast = sv.evolve(start, tables, [(theta, steps)])[0]
         gates = apply_circuit(start, synthesize(inter, theta, steps))
         np.testing.assert_allclose(fast.amplitudes, gates.amplitudes, rtol=0, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
-        term = PauliTerm.from_label(1.0, "XYZ")
         with pytest.raises(ValueError, match="does not fit a register of 2"):
-            sv.rotation_tables(2, [term])
+            sv.rotation_tables(2, unit_step("XYZ"))
 
-    def test_repeat_below_one_rejected(self):
-        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")])
-        with pytest.raises(ValueError, match="repeat must be >= 1"):
-            sv.evolve(init_basis(2, "00"), tables, [([0.1], 0)])
+    def test_steps_below_one_rejected(self):
+        tables = sv.rotation_tables(2, unit_step("XY"))
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            sv.evolve(init_basis(2, "00"), tables, [(0.1, 0)])
 
     def test_evolve_refuses_tables_of_another_register(self):
-        tables = sv.rotation_tables(3, [PauliTerm.from_label(1.0, "XYZ")])
+        tables = sv.rotation_tables(3, unit_step("XYZ"))
         with pytest.raises(ValueError, match="register width mismatch"):
-            sv.evolve(init_basis(2, "00"), tables, [([0.1], 1)])
-
-    def test_evolve_needs_one_angle_per_string(self):
-        tables = sv.rotation_tables(2, [PauliTerm.from_label(1.0, "XY")] * 2)
-        with pytest.raises(ValueError):
-            sv.evolve(init_basis(2, "00"), tables, [([0.1], 1)])
+            sv.evolve(init_basis(2, "00"), tables, [(0.1, 1)])
 
     def test_width_cap_matches_gate_path(self, monkeypatch):
         monkeypatch.setattr(sv, "MAX_GATE_QUBITS", 3)
         s = init_basis(4, "0000")
         with pytest.raises(ValueError, match="capped at 3 qubits") as fast:
-            sv.rotation_tables(4, [PauliTerm.from_label(1.0, "XIII")])
+            sv.rotation_tables(4, unit_step("XIII"))
         with pytest.raises(ValueError) as gates:
             apply_circuit(s, circuit_of(4, (Gate("H", 0),)))
         assert str(fast.value) == str(gates.value)
@@ -539,13 +656,12 @@ class TestRotationPass:
     def test_memory_does_not_grow_with_string_count(self):
         # 2,048 strings at 4 qubits per mode share 16 x masks and at most 256 z masks;
         # one gather per string would peak above 13 MB.
-        inter = interaction(FockEncoding(4))
-        sequence = trotter_sequence(inter, math.pi / 4, 1)
+        step = step_terms(interaction(FockEncoding(4)))
         start = init_basis(8, "00010001")
         tracemalloc.start()
         try:
-            tables = sv.rotation_tables(8, [term for term, _ in sequence])
-            sv.evolve(start, tables, [([angle for _, angle in sequence], 1)])
+            tables = sv.rotation_tables(8, step)
+            sv.evolve(start, tables, [(math.pi / 4, 1)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -562,35 +678,33 @@ class TestSectorModel:
         start = init_basis(2 * qpm, full.labels[full.sector.start])
         return start, sorted(full.terms, key=lambda t: _action(t[0])[:2])
 
-    @pytest.mark.parametrize("qpm", [2, 3, 4])
+    @pytest.mark.parametrize("qpm", [2, 3, 4, 5])
     def test_x_major_step_is_the_givens_product(self, qpm):
-        # Each x group's exponential in turn, all steps of a θ in one call
-        # (the batch loop at qpm 2–3, the 0-d loop at 4).
+        # Each x group's exponential in turn, all steps of a θ in one call:
+        # q² runs, the batch loop at every width.
         start, ordered = self.x_major(qpm)
-        tables = sv.rotation_tables(2 * qpm, [term for term, _ in ordered])
+        tables = sv.rotation_tables(2 * qpm, ordered)
+        assert len(tables.run_starts) == qpm**2
         for theta in self.THETAS:
-            runs = [(bind_angles(ordered, theta, steps), steps) for steps in (1, 2, 4)]
-            for (_, steps), out in zip(runs, sv.evolve(start, tables, runs)):
+            rows = [(theta, steps) for steps in (1, 2, 4)]
+            for (_, steps), out in zip(rows, sv.evolve(start, tables, rows)):
                 model = givens_product(FockEncoding(qpm), (1, 1), theta, steps)
                 assert np.max(np.abs(out.amplitudes - model)) <= 1e-12
 
-    @pytest.mark.parametrize("qpm", [2, 3, 4])
+    @pytest.mark.parametrize("qpm", [2, 3, 4, 5])
     def test_reduced_lex_is_x_major_strang_on_the_sector(self, qpm):
         # On |1,1⟩ the reduced lex step at s steps is the x-major Strang
-        # product at 2^(q−2)·s steps. The Strang run takes the batch loop at
-        # qpm 2–3 and the 0-d loop at 4, the reduced run the batch loop.
+        # product at 2^(q−2)·s steps. The Strang step's 2q² − 1 runs and the
+        # reduced step's 2^(q−1) + 1 both take the batch loop.
         start, ordered = self.x_major(qpm)
-        strang = sv.rotation_tables(2 * qpm, [term for term, _ in ordered + ordered[::-1]])
+        halves = [(term, coeff / 2) for term, coeff in ordered]
+        strang = sv.rotation_tables(2 * qpm, halves + halves[::-1])
+        assert len(strang.run_starts) == 2 * qpm**2 - 1
         reduced = compile_step(ExperimentConfig(qubits_per_mode=qpm, reduced=True))
         for theta in self.THETAS:
             for steps in (1, 2, 4):
                 effective = 2 ** (qpm - 2) * steps
-                halves = bind_angles(ordered, theta, 2 * effective)
-                runs = [
-                    (strang, halves + halves[::-1], effective),
-                    (reduced.tables, bind_angles(reduced.terms, theta, steps), steps),
-                ]
                 model = givens_product(FockEncoding(qpm), (1, 1), theta, effective, strang=True)
-                for tables, angles, repeat in runs:
-                    out = sv.evolve(start, tables, [(angles, repeat)])[0].amplitudes
+                for tables, repeat in ((strang, effective), (reduced.tables, steps)):
+                    out = sv.evolve(start, tables, [(theta, repeat)])[0].amplitudes
                     assert np.max(np.abs(out - model)) <= 1e-12
